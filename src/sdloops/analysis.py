@@ -11,6 +11,7 @@ that note in their metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .discovery import Cycle, LoopCatalog, LoopRecord, canonical_form
@@ -82,34 +83,14 @@ def loop_score_series(loop: LoopRecord | Cycle, series: LinkScoreSeries) -> list
     for edge in edges:
         if edge not in series.series:
             raise AnalysisError(f"loop edge {edge[0]} -> {edge[1]} is not in the score series")
-    out = []
-    for k in range(series.n + 1):
-        score = 1.0
-        for edge in edges:
-            s = series.series[edge][k]
-            if s == 0.0:
-                score = 0.0
-                break
-            score *= s
-        out.append(score)
-    return out
+    columns = [series.series[edge] for edge in edges]
+    return [0.0 if 0.0 in row else math.prod(row) for row in zip(*columns)]
 
 
 def relative_scores(catalog: LoopCatalog, series: LinkScoreSeries) -> dict[Cycle, list[float]]:
     """Per-step share of each loop's score magnitude in the catalog
     total; all zero at steps where no loop is active."""
-    records = catalog.loops()
-    if not records:
-        return {}
-    raw = {rec.cycle: loop_score_series(rec, series) for rec in records}
-    n = series.n
-    rel = {cycle: [0.0] * (n + 1) for cycle in raw}
-    for k in range(n + 1):
-        total = sum(abs(raw[cycle][k]) for cycle in raw)
-        if total > 0.0:
-            for cycle in raw:
-                rel[cycle][k] = abs(raw[cycle][k]) / total
-    return rel
+    return {p.cycle: p.relative_series for p in build_profiles(catalog, series)}
 
 
 def classify_polarity(score_series: list[float]) -> tuple[str, str | None]:
@@ -127,18 +108,20 @@ def classify_polarity(score_series: list[float]) -> tuple[str, str | None]:
 
 
 def build_profiles(catalog: LoopCatalog, series: LinkScoreSeries) -> list[LoopProfile]:
-    """One profile per catalog loop, in catalog order.  avg_contribution
-    averages the relative series over steps 1..n, counting all-inactive
-    steps as zero."""
-    rel = relative_scores(catalog, series)
+    """One profile per catalog loop, in catalog order.  Each loop's score
+    series is computed once; the relative series divide its magnitudes by
+    the per-step catalog total.  avg_contribution averages the relative
+    series over steps 1..n, counting all-inactive steps as zero."""
+    records = catalog.loops()
+    scores = [loop_score_series(rec, series) for rec in records]
+    totals = [sum(map(abs, column)) for column in zip(*scores)]
     profiles = []
     n = series.n
-    for rec in catalog.loops():
-        scores = loop_score_series(rec, series)
-        relative = rel[rec.cycle]
+    for rec, row in zip(records, scores):
+        relative = [abs(s) / total if total > 0.0 else 0.0 for s, total in zip(row, totals)]
         avg = sum(relative[1:]) / n
-        polarity, note = classify_polarity(scores)
-        profiles.append(LoopProfile(rec, scores, relative, avg, polarity, note))
+        polarity, note = classify_polarity(row)
+        profiles.append(LoopProfile(rec, row, relative, avg, polarity, note))
     return profiles
 
 
@@ -188,12 +171,6 @@ def _cyclic_overlap_ratio(a: Cycle, b: Cycle) -> float:
     return best / max(len(a), len(b))
 
 
-def _ranking_value(rec: LoopRecord, scored: dict[Cycle, float] | None) -> float:
-    if scored is not None:
-        return scored[rec.cycle]
-    return abs(rec.discovery_score)
-
-
 def compare_catalogs(
     reference: LoopCatalog,
     candidate: LoopCatalog,
@@ -210,25 +187,26 @@ def compare_catalogs(
     ratio clears `near_miss_ratio`.
     """
     ref_records = reference.loops()
-    scored = None
     if series is not None:
-        profiles = {p.cycle: p.avg_contribution for p in build_profiles(reference, series)}
-        scored = profiles
-    ranked = sorted(ref_records, key=lambda r: (-_ranking_value(r, scored), r.cycle))
+        values = [p.avg_contribution for p in build_profiles(reference, series)]
+    else:
+        values = [abs(rec.discovery_score) for rec in ref_records]
+    ranked = sorted(zip(values, ref_records), key=lambda pair: (-pair[0], pair[1].cycle))
 
     candidate_cycles = candidate.cycles()
+    candidates_in_order = sorted(candidate_cycles)
     intersection = reference.cycles() & candidate_cycles
 
     top_loops = []
     near_misses = []
-    for rec in ranked[:top_n]:
+    for _, rec in ranked[:top_n]:
         present = rec.cycle in candidate_cycles
         top_loops.append({"cycle": list(rec.cycle), "present": present})
         if present or not candidate_cycles:
             continue
         best_cycle = None
         best_ratio = 0.0
-        for cand in sorted(candidate_cycles):
+        for cand in candidates_in_order:
             ratio = _cyclic_overlap_ratio(rec.cycle, cand)
             if ratio > best_ratio:
                 best_ratio = ratio

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json import JSONDecodeError
 from pathlib import Path
 
 from .analysis import (
@@ -22,6 +24,7 @@ from .analysis import (
 )
 from .discovery import (
     LoopCatalog,
+    MalformedCycleError,
     WeightedDigraph,
     discover,
     enumerate_loops,
@@ -88,6 +91,7 @@ def _run_spec(model, args) -> RunSpec:
 
 def _parse_edge_csv(text: str) -> list[tuple[str, str, float]]:
     edges = []
+    first_row: dict[tuple[str, str], int] = {}
     lines = text.splitlines()
     for i, line in enumerate(lines, start=1):
         line = line.strip()
@@ -102,8 +106,36 @@ def _parse_edge_csv(text: str) -> list[tuple[str, str, float]]:
             w = float(parts[2])
         except ValueError:
             raise ModelError([Diagnostic(f"malformed weight in row {i}: {parts[2]!r}", None)]) from None
+        if not math.isfinite(w):
+            raise ModelError([Diagnostic(f"non-finite weight in row {i}: {parts[2]!r}", None)])
+        pair = (parts[0], parts[1])
+        if pair in first_row:
+            raise ModelError(
+                [Diagnostic(f"duplicate edge {pair[0]},{pair[1]} in row {i} (first in row {first_row[pair]})", None)]
+            )
+        first_row[pair] = i
         edges.append((parts[0], parts[1], w))
     return edges
+
+
+def _load_catalog(path: str) -> LoopCatalog:
+    """Read a catalog JSON file; content that is not a loop catalog is a
+    diagnostic naming the file."""
+    text = _read_text(path)
+    try:
+        return LoopCatalog.from_json(text)
+    except JSONDecodeError as err:
+        problem = f"not valid JSON ({err})"
+    except AttributeError:
+        # from_json_dict reads the top level with dict.get
+        problem = "the top level is not a JSON object"
+    except KeyError as err:
+        problem = f"a loop is missing the field {err}"
+    except MalformedCycleError as err:
+        problem = str(err)
+    except (TypeError, ValueError) as err:
+        problem = f"malformed loop entry ({err})"
+    raise ModelError([Diagnostic(f"{path}: {problem}")])
 
 
 # --------------------------------------------------------------------------
@@ -182,8 +214,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    reference = LoopCatalog.from_json(_read_text(args.reference))
-    candidate = LoopCatalog.from_json(_read_text(args.candidate))
+    reference = _load_catalog(args.reference)
+    candidate = _load_catalog(args.candidate)
     series = None
     if args.model:
         model = _load_model(args.model)

@@ -333,9 +333,9 @@ def strongest_path_pass(
 
 def step_graph(series: LinkScoreSeries, k: int, stocks: Iterable[str], sort: bool = True) -> WeightedDigraph:
     """Weighted graph of the edges active at step k (zero scores pruned)."""
-    scores = series.at_step(k)
+    scores = ((src, dst, series.series[(src, dst)][k]) for src, dst in series.edges)
     return WeightedDigraph.from_edges(
-        ((src, dst, s) for (src, dst), s in scores.items() if s != 0.0),
+        ((src, dst, s) for src, dst, s in scores if s != 0.0),
         stocks=stocks,
         sort=sort,
     )

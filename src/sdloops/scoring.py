@@ -54,9 +54,6 @@ class LinkScoreSeries:
     def score(self, edge: Edge, k: int) -> float:
         return self.series[edge][k]
 
-    def at_step(self, k: int) -> dict[Edge, float]:
-        return {edge: self.series[edge][k] for edge in self.edges}
-
 
 @dataclass
 class CompositeWeights:

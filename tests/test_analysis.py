@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdloops as sl
+from sdloops import analysis
 from sdloops.analysis import (
     AnalysisError,
     _cyclic_overlap_ratio,
@@ -12,7 +14,8 @@ from sdloops.analysis import (
     profiles_to_csv,
     ranking_to_json_dict,
 )
-from sdloops.discovery import LoopCatalog, enumerate_loops
+from sdloops.discovery import LoopCatalog, WeightedDigraph, enumerate_loops
+from sdloops.scoring import LinkScoreSeries
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +114,97 @@ class TestRelativeScores:
                 assert scaled[cycle][k] == pytest.approx(base[cycle][k], abs=1e-12)
         for k in (1, 2):
             assert max(base, key=lambda c: base[c][k]) == max(scaled, key=lambda c: scaled[c][k])
+
+
+# --------------------------------------------------------------------------
+# hypothesis: loop scores and relative shares match a step-by-step reference
+# bit for bit, signed zeros included
+
+def _reference_loop_scores(cycle, series):
+    edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
+    out = []
+    for k in range(series.n + 1):
+        score = 1.0
+        for edge in edges:
+            s = series.series[edge][k]
+            if s == 0.0:
+                score = 0.0
+                break
+            score *= s
+        out.append(score)
+    return out
+
+
+def _reference_relative(catalog, series):
+    raw = {rec.cycle: _reference_loop_scores(rec.cycle, series) for rec in catalog.loops()}
+    rel = {cycle: [0.0] * (series.n + 1) for cycle in raw}
+    for k in range(series.n + 1):
+        total = sum(abs(raw[cycle][k]) for cycle in raw)
+        if total > 0.0:
+            for cycle in raw:
+                rel[cycle][k] = abs(raw[cycle][k]) / total
+    return raw, rel
+
+
+@st.composite
+def _scored_graphs(draw):
+    pairs = [(src, dst) for src in "abcd" for dst in "abcd"]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
+    n = draw(st.integers(min_value=1, max_value=6))
+    score = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(min_value=-4.0, max_value=4.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    series = {edge: draw(st.lists(score, min_size=n + 1, max_size=n + 1)) for edge in edges}
+    return LinkScoreSeries(tuple(edges), tuple(float(k) for k in range(n + 1)), series)
+
+
+def _bits(values):
+    return [repr(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scored_graphs())
+def test_profiles_match_stepwise_reference(series):
+    catalog = enumerate_loops(WeightedDigraph.from_edges((src, dst, 1.0) for src, dst in series.edges))
+    raw, rel = _reference_relative(catalog, series)
+    profiles = sl.build_profiles(catalog, series)
+    assert [p.cycle for p in profiles] == [rec.cycle for rec in catalog.loops()]
+    for p in profiles:
+        assert _bits(loop_score_series(p.cycle, series)) == _bits(raw[p.cycle])
+        assert _bits(p.score_series) == _bits(raw[p.cycle])
+        assert _bits(p.relative_series) == _bits(rel[p.cycle])
+        assert repr(p.avg_contribution) == repr(sum(rel[p.cycle][1:]) / series.n)
+        assert (p.polarity, p.note) == classify_polarity(raw[p.cycle])
+    relative = sl.relative_scores(catalog, series)
+    assert {cycle: _bits(r) for cycle, r in relative.items()} == {cycle: _bits(r) for cycle, r in rel.items()}
+
+
+class TestOneScorePass:
+    """Ranking and comparing compute each reference loop's series once."""
+
+    @pytest.fixture()
+    def scored_cycles(self, monkeypatch):
+        calls = []
+        original = analysis.loop_score_series
+
+        def counting(loop, series):
+            calls.append(loop.cycle)
+            return original(loop, series)
+
+        monkeypatch.setattr(analysis, "loop_score_series", counting)
+        return calls
+
+    def test_rank_and_filter(self, scored_cycles, arms_catalog, arms_series):
+        sl.rank_and_filter(arms_catalog, arms_series, top=2)
+        assert sorted(scored_cycles) == sorted(arms_catalog.cycles())
+
+    def test_compare_catalogs(self, scored_cycles, arms_catalog, arms_series):
+        candidate = LoopCatalog()
+        candidate.add(arms_catalog.loops()[0].cycle, 1.0, "static")
+        sl.compare_catalogs(arms_catalog, candidate, arms_series, top_n=8)
+        assert sorted(scored_cycles) == sorted(arms_catalog.cycles())
 
 
 class TestPolarity:

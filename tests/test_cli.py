@@ -162,6 +162,29 @@ class TestGraphLoops:
     def test_unknown_start_node(self, greedy_miss_path, capsys):
         assert main(["graph-loops", greedy_miss_path, "--start", "zz"]) == 2
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_weight(self, weight, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"src,dst,weight\na,b,1\nb,a,{weight}\n", encoding="utf-8")
+        assert main(["graph-loops", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"non-finite weight in row 3: {weight!r}" in captured.err
+
+    def test_duplicate_edge(self, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,weight\na,b,1\nb,a,2\n\na,b,3\n", encoding="utf-8")
+        assert main(["graph-loops", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duplicate edge a,b in row 5 (first in row 2)" in captured.err
+
+    def test_reverse_edge_is_not_a_duplicate(self, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,weight\na,b,1\nb,a,2\n", encoding="utf-8")
+        assert main(["graph-loops", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["loops"][0]["cycle"] == ["a", "b"]
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):
@@ -230,6 +253,45 @@ class TestCompare:
         path.write_text(catalog.to_json(), encoding="utf-8")
         assert main(["compare", str(path), str(path), "--model", twostock_path]) == 2
         assert "not in the score series" in capsys.readouterr().err
+
+
+class TestCompareMalformedCatalog:
+    """A catalog file that is not a loop catalog is a diagnostic naming
+    the file (exit 2), whichever side it is on."""
+
+    GOOD = '{"loops": [{"cycle": ["a", "b"], "discovery_score": 1.0, "found_at": "static"}]}'
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("not json", "not valid JSON"),
+            ("", "not valid JSON"),
+            ("[1, 2]", "the top level is not a JSON object"),
+            ('"catalog"', "the top level is not a JSON object"),
+            ('{"loops": [{"discovery_score": 1.0, "found_at": 0}]}', "a loop is missing the field 'cycle'"),
+            ('{"loops": [{"cycle": ["a", "b"], "found_at": 0}]}', "a loop is missing the field 'discovery_score'"),
+            ('{"loops": [{"cycle": ["a", "b"], "discovery_score": 1.0}]}', "a loop is missing the field 'found_at'"),
+            (
+                '{"loops": [{"cycle": ["a", "b", "a"], "discovery_score": 1.0, "found_at": 0}]}',
+                "repeated node in cycle",
+            ),
+            ('{"loops": [{"cycle": [], "discovery_score": 1.0, "found_at": 0}]}', "empty cycle"),
+            ('{"loops": [{"cycle": ["a"], "discovery_score": "x", "found_at": 0}]}', "malformed loop entry"),
+            ('{"loops": 5}', "malformed loop entry"),
+            ('{"loops": ["ab"]}', "malformed loop entry"),
+        ],
+    )
+    @pytest.mark.parametrize("side", ["reference", "candidate"])
+    def test_diagnostic_names_file(self, text, problem, side, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(self.GOOD, encoding="utf-8")
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        argv = ["compare", str(bad), str(good)] if side == "reference" else ["compare", str(good), str(bad)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}: {problem}" in captured.err
 
 
 class TestUsage:

@@ -69,7 +69,7 @@ class TestStepApi:
     def test_step_matches_series(self, two_stock_model, two_stock_run, two_stock_series):
         for k in (1, 5, 7, 12):
             step = link_score_step(two_stock_model, two_stock_run, k)
-            assert step == two_stock_series.at_step(k)
+            assert step == {e: two_stock_series.series[e][k] for e in two_stock_series.edges}
 
     def test_constant_input_scores_zero(self):
         model = sl.parse_model(
