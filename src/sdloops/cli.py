@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error (bad flags or unreadable input
 paths), 2 model diagnostics (parse/validate failures), 3 runtime failure
-(aborted simulation, exhausted loop cap in forced exhaustive mode).
+(aborted simulation, exhausted loop cap in forced exhaustive mode, a
+non-finite number in JSON output).
 All commands are deterministic for identical inputs and flags.
 """
 
@@ -64,6 +65,18 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(render, out: str | None) -> int:
+    """Write the JSON text `render()` returns, encoded with allow_nan=False:
+    NaN or Infinity is a runtime failure, and nothing is written."""
+    try:
+        text = render() + "\n"  # one copy of the text stays alive while it is written
+    except ValueError as err:
+        print(f"error: non-finite number in JSON output ({err})", file=sys.stderr)
+        return EXIT_RUNTIME
+    _emit(text, out)
+    return EXIT_OK
 
 
 def _load_model(path: str):
@@ -178,7 +191,8 @@ def cmd_analyze(args) -> int:
         "loops_after_filter": len(profiles),
     }
     ranking = ranking_to_json_dict(profiles, catalog, metadata)
-    _emit(json.dumps(ranking, indent=2) + "\n", args.out)
+    if _emit_json(lambda: json.dumps(ranking, indent=2, allow_nan=False), args.out) != EXIT_OK:
+        return EXIT_RUNTIME
     if args.csv:
         Path(args.csv).write_text(profiles_to_csv(profiles, run.times), encoding="utf-8")
     if args.links_csv:
@@ -200,8 +214,7 @@ def cmd_graph_loops(args) -> int:
         catalog = LoopCatalog(provenance="strongest-path")
         targets = None if args.start == "all" else [args.start]
         strongest_path_pass(graph, catalog, targets=targets)
-    _emit(catalog.to_json(indent=2) + "\n", args.out)
-    return EXIT_OK
+    return _emit_json(lambda: catalog.to_json(indent=2), args.out)
 
 
 def cmd_gen(args) -> int:
@@ -214,6 +227,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.top < 1:
+        raise _UsageError("--top must be >= 1")
     reference = _load_catalog(args.reference)
     candidate = _load_catalog(args.candidate)
     series = None
@@ -232,8 +247,7 @@ def cmd_compare(args) -> int:
     report = compare_catalogs(
         reference, candidate, series, top_n=args.top, near_miss_ratio=args.near_miss_ratio
     )
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
-    return EXIT_OK
+    return _emit_json(lambda: json.dumps(report.to_json_dict(), indent=2, allow_nan=False), args.out)
 
 
 # --------------------------------------------------------------------------

@@ -165,13 +165,16 @@ class LoopCatalog:
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        return json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopCatalog":
         catalog = cls(provenance=data.get("provenance", "unknown"), overflow=bool(data.get("overflow", False)))
         for item in data.get("loops", []):
-            catalog.add(tuple(item["cycle"]), float(item["discovery_score"]), item["found_at"])
+            cycle = item["cycle"]
+            if not isinstance(cycle, list):
+                raise MalformedCycleError(f"cycle {cycle!r} is not a list")
+            catalog.add(tuple(cycle), float(item["discovery_score"]), item["found_at"])
         return catalog
 
     @classmethod

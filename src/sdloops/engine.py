@@ -1,8 +1,9 @@
 """Fixed-step Euler simulation of a validated model.
 
-Per step k the auxiliaries and flows are evaluated in topological order
-against the stock values at t_k (recording every IF branch taken), then
-stocks integrate to t_{k+1}:
+Per step k the auxiliaries and flows, each compiled once per run
+(compile_expr), are evaluated in topological order against the stock
+values at t_k (recording every IF branch taken), then stocks integrate
+to t_{k+1}:
 
     stock[k+1] = stock[k] + dt * (sum of inflows[k] - sum of outflows[k])
 
@@ -37,7 +38,7 @@ __all__ = [
     "RunResult",
     "evaluation_order",
     "simulate",
-    "eval_expr",
+    "compile_expr",
     "run_to_csv",
 ]
 
@@ -117,83 +118,81 @@ def evaluation_order(model: Model) -> list[str]:
     return order
 
 
-def eval_expr(
-    node,
-    values: dict[str, float],
-    t: float,
-    dt: float,
-    slots: dict[int, int] | None = None,
-    record: list | None = None,
-    override: list | None = None,
-) -> float:
-    """Evaluate an expression tree against a value environment.
+# DSL operator -> (Python template, precedence of the template).  Levels,
+# loosest first: 0 conditional expression, 1 + -, 2 * /, 3 unary minus,
+# 4 atom.  An operand is parenthesized when it binds more loosely than
+# its place in the template allows.
+_UNARY_OPS = {"-": ("-{}", 3), "NOT": ("1.0 if {} == 0.0 else 0.0", 0)}
+_BINARY_OPS = {
+    "+": ("{} + {}", 1), "-": ("{} - {}", 1), "*": ("{} * {}", 2), "/": ("{} / {}", 2),
+    **{op: (f"1.0 if {{}} {py} {{}} else 0.0", 0)
+       for op, py in (("<", "<"), (">", ">"), ("<=", "<="), (">=", ">="), ("=", "=="), ("<>", "!="))},
+    "AND": ("1.0 if ({} != 0.0) & ({} != 0.0) else 0.0", 0),  # both operands evaluated
+    "OR": ("1.0 if ({} != 0.0) | ({} != 0.0) else 0.0", 0),
+}
+_FUNCS = {"MIN": "min(({},))", "MAX": "max(({},))", "ABS": "abs({})"}
+_BUILTINS = {"DT": "dt", "TIME": "t"}
 
-    With `record`, the branch of every evaluated IF node is written into
-    record[slot].  With `override`, IF nodes take the recorded branch and
-    their conditions are not evaluated at all (branch-gated evaluation).
+
+def _take(branches, slot: int, taken: bool) -> bool:
+    branches[slot] = taken
+    return taken
+
+
+def _unrecorded():
+    raise ValueError("no recorded branch for IF node")
+
+
+def compile_expr(expr, gated: bool = False):
+    """Compile an expression tree into a function f(values, t, dt, branches).
+
+    IF nodes are numbered by pre-order slot, as iter_if_nodes numbers them.
+    In record form each evaluated IF writes its branch (True for then)
+    into branches[slot]; any mutable sequence or mapping will do.  In
+    gated form each IF takes branches[slot] and never evaluates its
+    condition; a branch of None raises ValueError.  Model text reaches the
+    generated source only as repr'd names; number literals go through a
+    constants tuple, operators and functions through fixed tables.
     """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Ref):
-        return values[node.name]
-    if isinstance(node, Builtin):
-        return dt if node.name == "DT" else t
-    if isinstance(node, Unary):
-        v = eval_expr(node.operand, values, t, dt, slots, record, override)
-        return -v if node.op == "-" else (1.0 if v == 0.0 else 0.0)
-    if isinstance(node, Bin):
-        left = eval_expr(node.left, values, t, dt, slots, record, override)
-        right = eval_expr(node.right, values, t, dt, slots, record, override)
-        op = node.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left / right
-        if op == "<":
-            return 1.0 if left < right else 0.0
-        if op == ">":
-            return 1.0 if left > right else 0.0
-        if op == "<=":
-            return 1.0 if left <= right else 0.0
-        if op == ">=":
-            return 1.0 if left >= right else 0.0
-        if op == "=":
-            return 1.0 if left == right else 0.0
-        if op == "<>":
-            return 1.0 if left != right else 0.0
-        if op == "AND":
-            return 1.0 if (left != 0.0 and right != 0.0) else 0.0
-        if op == "OR":
-            return 1.0 if (left != 0.0 or right != 0.0) else 0.0
-        raise ValueError(f"unknown operator {op!r}")
-    if isinstance(node, If):
-        if override is not None:
-            taken = override[slots[id(node)]]
-            if taken is None:
-                raise ValueError("no recorded branch for IF node")
+    consts: list[float] = []
+    ifs: list[If] = []  # in pre-order: the position is the slot
+
+    def emit(node, level: int) -> str:
+        """Python source for `node`, parenthesized unless it binds at
+        least as tightly as `level` (one frame per tree level)."""
+        if isinstance(node, Num):
+            consts.append(node.value)
+            code, prec = f"c[{len(consts) - 1}]", 4
+        elif isinstance(node, Ref):
+            code, prec = f"v[{node.name!r}]", 4
+        elif isinstance(node, Builtin):
+            code, prec = _BUILTINS[node.name], 4
+        elif isinstance(node, Unary) and node.op in _UNARY_OPS:
+            template, prec = _UNARY_OPS[node.op]
+            code = template.format(emit(node.operand, max(prec, 1)))
+        elif isinstance(node, Bin) and node.op in _BINARY_OPS:
+            template, prec = _BINARY_OPS[node.op]
+            code = template.format(emit(node.left, max(prec, 1)), emit(node.right, prec + 1))
+        elif isinstance(node, If):
+            slot = len(ifs)
+            ifs.append(node)
+            cond = emit(node.cond, 1)  # numbers the IFs inside the condition, gated or not
+            then, orelse = emit(node.then, 1), emit(node.orelse, 0)
+            if gated:
+                code = f"{then} if b[{slot}] else _unrecorded() if b[{slot}] is None else {orelse}"
+            else:
+                code = f"{then} if _take(b, {slot}, {cond} != 0.0) else {orelse}"
+            prec = 0
+        elif isinstance(node, Call) and node.fn in _FUNCS:  # the parser checks the argument counts
+            code, prec = _FUNCS[node.fn].format(", ".join(emit(a, 0) for a in node.args)), 4
+        elif isinstance(node, (Unary, Bin, Call)):
+            raise ValueError(f"unknown operator or function in {node!r}")
         else:
-            taken = eval_expr(node.cond, values, t, dt, slots, record, override) != 0.0
-            if record is not None:
-                record[slots[id(node)]] = taken
-        branch = node.then if taken else node.orelse
-        return eval_expr(branch, values, t, dt, slots, record, override)
-    if isinstance(node, Call):
-        args = [eval_expr(a, values, t, dt, slots, record, override) for a in node.args]
-        if node.fn == "MIN":
-            return min(args)
-        if node.fn == "MAX":
-            return max(args)
-        return abs(args[0])
-    raise TypeError(f"not an expression node: {node!r}")
+            raise TypeError(f"not an expression node: {node!r}")
+        return code if prec >= level else f"({code})"
 
-
-def if_slot_map(expr) -> dict[int, int]:
-    """Map id(IF node) -> pre-order slot for one equation."""
-    return {id(n): i for i, n in enumerate(iter_if_nodes(expr))}
+    source = compile(f"lambda v, t, dt, b: {emit(expr, 0)}", "<sdloops equation>", "eval")
+    return eval(source, {"c": tuple(consts), "_take": _take, "_unrecorded": _unrecorded})
 
 
 def _eval_initials(model: Model, spec: RunSpec | None = None) -> dict[str, float]:
@@ -207,9 +206,8 @@ def _eval_initials(model: Model, spec: RunSpec | None = None) -> dict[str, float
         if name in resolved:
             return resolved[name]
         var = byname[name]
-        env = _LazyEnv(value_of)
         try:
-            v = eval_expr(var.expr, env, spec.start, spec.dt, if_slot_map(var.expr))
+            v = compile_expr(var.expr)(_LazyEnv(value_of), spec.start, spec.dt, {})
         except ZeroDivisionError:
             raise SimulationError("division by zero", name, 0, var.loc) from None
         if not math.isfinite(v):
@@ -248,12 +246,8 @@ def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:
 
     initials = _eval_initials(model, spec)
     values: dict[str, list[float]] = {v.name: [0.0] * (n + 1) for v in model.variables}
-    trace: dict[str, list[list[bool | None]]] = {}
-    slot_maps: dict[str, dict[int, int]] = {}
-    for name in order:
-        smap = if_slot_map(byname[name].expr)
-        slot_maps[name] = smap
-        trace[name] = [[None] * (n + 1) for _ in range(len(smap))]
+    compiled = {name: compile_expr(byname[name].expr) for name in order}
+    trace = {name: [[None] * (n + 1) for _ in iter_if_nodes(byname[name].expr)] for name in order}
 
     for v in model.variables:
         if v.kind == "const":
@@ -262,22 +256,17 @@ def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:
             values[v.name][0] = initials[v.name]
 
     stocks = model.by_kind("stock")
-    env: dict[str, float] = {}
     for k in range(n + 1):
         t = times[k]
-        env.clear()
-        for v in model.variables:
-            if v.kind in ("const", "stock"):
-                env[v.name] = values[v.name][k]
+        env = {v.name: values[v.name][k] for v in model.variables if v.kind in ("const", "stock")}
         for name in order:
-            var = byname[name]
             record = [None] * len(trace[name])
             try:
-                val = eval_expr(var.expr, env, t, dt, slot_maps[name], record=record)
+                val = compiled[name](env, t, dt, record)
             except ZeroDivisionError:
-                raise SimulationError("division by zero", name, k, var.loc) from None
+                raise SimulationError("division by zero", name, k, byname[name].loc) from None
             if not math.isfinite(val):
-                raise SimulationError("non-finite value", name, k, var.loc)
+                raise SimulationError("non-finite value", name, k, byname[name].loc)
             env[name] = val
             values[name][k] = val
             for slot, taken in enumerate(record):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .dsl import Model, dependency_graph, format_number
-from .engine import RunResult, eval_expr, if_slot_map
+from .engine import RunResult, compile_expr
 
 __all__ = [
     "LinkScoreSeries",
@@ -87,12 +87,7 @@ class _Prep:
                 self.flow_edges.append((src, dst, sign))
             else:
                 self.eq_edges.append((src, dst))
-        self.exprs = {v.name: v.expr for v in model.variables}
-        self.slots = {
-            name: if_slot_map(expr)
-            for name, expr in self.exprs.items()
-            if byname[name].kind in ("aux", "flow")
-        }
+        self.gated = {v.name: compile_expr(v.expr, gated=True) for v in model.by_kind("aux", "flow")}
 
 
 def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = None) -> dict[Edge, float]:
@@ -119,16 +114,14 @@ def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = 
         saved = env_old[src]
         env_old[src] = values[src][k]
         try:
-            mixed = eval_expr(
-                prep.exprs[dst], env_old, t_old, dt, prep.slots[dst], override=branches
-            )
+            mixed = prep.gated[dst](env_old, t_old, dt, branches)
         except (ZeroDivisionError, ValueError):
             # the gated equation cannot be evaluated at the mixed point;
             # no attributable contribution
             scores[(src, dst)] = 0.0
-            env_old[src] = saved
             continue
-        env_old[src] = saved
+        finally:
+            env_old[src] = saved
         dxz = mixed - values[dst][k - 1]
         if not math.isfinite(dxz):
             scores[(src, dst)] = 0.0

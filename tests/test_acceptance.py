@@ -20,7 +20,7 @@ import sdloops as sl
 from sdloops.cli import main
 from sdloops.discovery import LoopCatalog, step_graph, strongest_path_pass
 from sdloops.dsl import expr_refs
-from sdloops.engine import _eval_initials, eval_expr, if_slot_map
+from sdloops.engine import _eval_initials, compile_expr
 from sdloops.fixtures import stock_projection_circuit_count
 
 BENCH_SPEC = sl.SyntheticSpec(stocks=12, density=1.0, seed=7)
@@ -78,14 +78,15 @@ def _linear_coefficients(model, name):
     consts = {v.name for v in model.by_kind("const")}
     initials = _eval_initials(model)
     base = {r: (initials[r] if r in consts else 0.0) for r in refs}
-    zero = eval_expr(var.expr, dict(base), 0.0, 1.0, if_slot_map(var.expr))
+    f = compile_expr(var.expr)
+    zero = f(dict(base), 0.0, 1.0, {})
     out = {}
     for r in refs:
         if r in consts:
             continue
         env = dict(base)
         env[r] = 1.0
-        out[r] = eval_expr(var.expr, env, 0.0, 1.0, if_slot_map(var.expr)) - zero
+        out[r] = f(env, 0.0, 1.0, {}) - zero
     return out
 
 

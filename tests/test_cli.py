@@ -185,6 +185,18 @@ class TestGraphLoops:
         assert main(["graph-loops", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["loops"][0]["cycle"] == ["a", "b"]
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_overflowing_loop_score_writes_nothing(self, to_file, tmp_path, capsys):
+        # finite weights whose product is inf: JSON has no Infinity
+        path = tmp_path / "edges.csv"
+        path.write_text("a,b,1e200\nb,a,1e200\n", encoding="utf-8")
+        out = tmp_path / "loops.json"
+        assert main(["graph-loops", str(path)] + (["--out", str(out)] if to_file else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        assert "non-finite number in JSON output" in captured.err
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):
@@ -254,6 +266,17 @@ class TestCompare:
         assert main(["compare", str(path), str(path), "--model", twostock_path]) == 2
         assert "not in the score series" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_a_usage_error(self, top, tmp_path, capsys):
+        catalog = sl.LoopCatalog()
+        catalog.add(("a", "b"), 1.0, "static")
+        path = tmp_path / "cat.json"
+        path.write_text(catalog.to_json(), encoding="utf-8")
+        assert main(["compare", str(path), str(path), "--top", top]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--top must be >= 1" in captured.err
+
 
 class TestCompareMalformedCatalog:
     """A catalog file that is not a loop catalog is a diagnostic naming
@@ -276,6 +299,7 @@ class TestCompareMalformedCatalog:
                 "repeated node in cycle",
             ),
             ('{"loops": [{"cycle": [], "discovery_score": 1.0, "found_at": 0}]}', "empty cycle"),
+            ('{"loops": [{"cycle": "ab", "discovery_score": 1.0, "found_at": 0}]}', "cycle 'ab' is not a list"),
             ('{"loops": [{"cycle": ["a"], "discovery_score": "x", "found_at": 0}]}', "malformed loop entry"),
             ('{"loops": 5}', "malformed loop entry"),
             ('{"loops": ["ab"]}', "malformed loop entry"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import networkx as nx
 import pytest
@@ -361,3 +362,10 @@ class TestCatalogJson:
         for item in data["loops"]:
             cycle = tuple(item["cycle"])
             assert cycle == canonical_form(cycle)
+
+    @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
+    def test_non_finite_score_is_not_written(self, score):
+        catalog = LoopCatalog()
+        catalog.add(("a", "b"), score, "static")
+        with pytest.raises(ValueError):
+            catalog.to_json()

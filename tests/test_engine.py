@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdloops as sl
-from sdloops.engine import run_to_csv
+from sdloops.dsl import Bin, Builtin, Call, If, Num, Ref, Unary, iter_if_nodes
+from sdloops.engine import compile_expr, run_to_csv
 
 
 class TestEvaluationOrder:
@@ -150,6 +152,20 @@ class TestSimulate:
         assert run.values["e"][0] == 1.0
         assert run.values["f"][0] == 0.0
 
+    def test_single_argument_min(self):
+        model = sl.parse_model("SPEC START = 0 STOP = 1 DT = 1\nCONST x = 3\nAUX a = MIN(x)\nAUX b = MAX(-x)\n")
+        run = sl.simulate(model)
+        assert run.values["a"] == [3.0, 3.0]
+        assert run.values["b"] == [-3.0, -3.0]
+
+    def test_infinite_literal_aborts_at_step_zero(self):
+        model = sl.parse_model("SPEC START = 0 STOP = 1 DT = 1\nCONST c = 1e999\nAUX a = c\n")
+        with pytest.raises(sl.SimulationError) as err:
+            sl.simulate(model)
+        assert err.value.variable == "c"
+        assert err.value.step == 0
+        assert "non-finite value" in str(err.value)
+
 
 class TestCsv:
     def test_round_trip_exact(self, two_stock_model):
@@ -174,3 +190,155 @@ class TestCsv:
         col = lines[0].split(",").index("s")
         row = lines[-1].split(",")
         assert float(row[col]) == run.values["s"][2]
+
+
+class TestCompileExpr:
+    def test_names_reach_the_source_only_as_literals(self):
+        name = "x'] + __import__('os').getpid() + v['x"
+        f = compile_expr(Bin("+", Ref(name), Num(1.0)))
+        assert f({name: 2.0}, 0.0, 1.0, []) == 3.0
+
+    @pytest.mark.parametrize(
+        "node",
+        [Bin("**", Num(2.0), Num(3.0)), Unary("~", Num(1.0)), Call("SQRT", (Num(4.0),))],
+    )
+    def test_unknown_operator_or_function_raises_at_compile_time(self, node):
+        with pytest.raises(ValueError):
+            compile_expr(node)
+
+    def test_gated_if_without_recorded_branch_raises(self):
+        f = compile_expr(If(Ref("x"), Num(1.0), Num(2.0)), gated=True)
+        assert f({}, 0.0, 1.0, [False]) == 2.0
+        with pytest.raises(ValueError):
+            f({}, 0.0, 1.0, [None])
+
+
+# hypothesis: compiled equations against the tree-walking interpreter they
+# replaced, kept here as the reference
+
+
+def eval_expr(node, values, t, dt, slots=None, record=None, override=None):
+    """Evaluate an expression tree against a value environment.
+
+    With `record`, the branch of every evaluated IF node is written into
+    record[slot].  With `override`, IF nodes take the recorded branch and
+    their conditions are not evaluated at all (branch-gated evaluation).
+    """
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Ref):
+        return values[node.name]
+    if isinstance(node, Builtin):
+        return dt if node.name == "DT" else t
+    if isinstance(node, Unary):
+        v = eval_expr(node.operand, values, t, dt, slots, record, override)
+        return -v if node.op == "-" else (1.0 if v == 0.0 else 0.0)
+    if isinstance(node, Bin):
+        left = eval_expr(node.left, values, t, dt, slots, record, override)
+        right = eval_expr(node.right, values, t, dt, slots, record, override)
+        op = node.op
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
+            return left / right
+        if op == "<":
+            return 1.0 if left < right else 0.0
+        if op == ">":
+            return 1.0 if left > right else 0.0
+        if op == "<=":
+            return 1.0 if left <= right else 0.0
+        if op == ">=":
+            return 1.0 if left >= right else 0.0
+        if op == "=":
+            return 1.0 if left == right else 0.0
+        if op == "<>":
+            return 1.0 if left != right else 0.0
+        if op == "AND":
+            return 1.0 if (left != 0.0 and right != 0.0) else 0.0
+        if op == "OR":
+            return 1.0 if (left != 0.0 or right != 0.0) else 0.0
+        raise ValueError(f"unknown operator {op!r}")
+    if isinstance(node, If):
+        if override is not None:
+            taken = override[slots[id(node)]]
+            if taken is None:
+                raise ValueError("no recorded branch for IF node")
+        else:
+            taken = eval_expr(node.cond, values, t, dt, slots, record, override) != 0.0
+            if record is not None:
+                record[slots[id(node)]] = taken
+        branch = node.then if taken else node.orelse
+        return eval_expr(branch, values, t, dt, slots, record, override)
+    if isinstance(node, Call):
+        args = [eval_expr(a, values, t, dt, slots, record, override) for a in node.args]
+        if node.fn == "MIN":
+            return min(args)
+        if node.fn == "MAX":
+            return max(args)
+        return abs(args[0])
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+_NAMES = ("x", "y", "z")
+_numbers = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e308, float("inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_leaf = st.one_of(
+    _numbers.map(Num),
+    st.sampled_from(_NAMES).map(Ref),
+    st.sampled_from(["DT", "TIME"]).map(Builtin),
+)
+_OPS = ["+", "-", "*", "/", "<", ">", "<=", ">=", "=", "<>", "AND", "OR"]
+
+
+def _compound(children):
+    ifs = st.builds(If, children, children, children)
+    return st.one_of(
+        st.builds(Bin, st.sampled_from(_OPS), children, children),
+        st.builds(Unary, st.sampled_from(["-", "NOT"]), children),
+        ifs,
+        st.builds(If, ifs, children, children),  # an IF inside a condition
+        st.builds(Bin, st.sampled_from(["AND", "OR"]), children, ifs),  # evaluated right operand
+        st.builds(Call, st.sampled_from(["MIN", "MAX"]), st.lists(children, min_size=1, max_size=3).map(tuple)),
+        st.builds(lambda a: Call("ABS", (a,)), children),
+    )
+
+
+_trees = st.recursive(_leaf, _compound, max_leaves=25)
+_envs = st.fixed_dictionaries({name: _numbers for name in _NAMES})
+
+
+def _outcome(evaluate):
+    """repr of the result, or the type of the exception raised."""
+    try:
+        return repr(evaluate())
+    except Exception as err:
+        return type(err).__name__
+
+
+def _slots(expr):
+    return {id(n): i for i, n in enumerate(iter_if_nodes(expr))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, _envs, _numbers, _numbers)
+def test_record_form_matches_reference(expr, env, t, dt):
+    n = len(iter_if_nodes(expr))
+    expected, got = [None] * n, [None] * n
+    want = _outcome(lambda: eval_expr(expr, dict(env), t, dt, _slots(expr), record=expected))
+    assert _outcome(lambda: compile_expr(expr)(dict(env), t, dt, got)) == want
+    assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees, _envs, _numbers, _numbers, st.data())
+def test_gated_form_matches_override(expr, env, t, dt, data):
+    n = len(iter_if_nodes(expr))
+    branches = data.draw(st.lists(st.sampled_from([True, False, None]), min_size=n, max_size=n))
+    want = _outcome(lambda: eval_expr(expr, dict(env), t, dt, _slots(expr), override=branches))
+    assert _outcome(lambda: compile_expr(expr, gated=True)(dict(env), t, dt, branches)) == want

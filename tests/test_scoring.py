@@ -98,21 +98,22 @@ def _coefficients(model, aux_name):
     """Exact linear coefficients of the non-constant inputs, by
     unit-vector evaluation with constants held at their values."""
     from sdloops.dsl import expr_refs
-    from sdloops.engine import _eval_initials, eval_expr, if_slot_map
+    from sdloops.engine import _eval_initials, compile_expr
 
     var = model.variable(aux_name)
     refs = expr_refs(var.expr)
     consts = {v.name for v in model.by_kind("const")}
     initials = _eval_initials(model)
     base = {r: (initials[r] if r in consts else 0.0) for r in refs}
-    zero = eval_expr(var.expr, dict(base), 0.0, 1.0, if_slot_map(var.expr))
+    f = compile_expr(var.expr)
+    zero = f(dict(base), 0.0, 1.0, {})
     coefs = {}
     for r in refs:
         if r in consts:
             continue
         env = dict(base)
         env[r] = 1.0
-        coefs[r] = eval_expr(var.expr, env, 0.0, 1.0, if_slot_map(var.expr)) - zero
+        coefs[r] = f(env, 0.0, 1.0, {}) - zero
     return coefs
 
 
