@@ -10,12 +10,13 @@ All commands are deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
-import json
+import json  # noqa: F401  (unused here; bench/tracing.py rebinds sdloops.cli.json to time json.dumps)
 import math
 import sys
 from json import JSONDecodeError
 from pathlib import Path
 
+from ._jsonutil import indented_json
 from .analysis import (
     AnalysisError,
     compare_catalogs,
@@ -68,7 +69,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(render, out: str | None) -> int:
-    """Write the JSON text `render()` returns, encoded with allow_nan=False:
+    """Write the JSON text `render()` returns (indented_json, strict):
     NaN or Infinity is a runtime failure, and nothing is written."""
     try:
         text = render() + "\n"  # one copy of the text stays alive while it is written
@@ -191,7 +192,7 @@ def cmd_analyze(args) -> int:
         "loops_after_filter": len(profiles),
     }
     ranking = ranking_to_json_dict(profiles, catalog, metadata)
-    if _emit_json(lambda: json.dumps(ranking, indent=2, allow_nan=False), args.out) != EXIT_OK:
+    if _emit_json(lambda: indented_json(ranking), args.out) != EXIT_OK:
         return EXIT_RUNTIME
     if args.csv:
         Path(args.csv).write_text(profiles_to_csv(profiles, run.times), encoding="utf-8")
@@ -214,7 +215,7 @@ def cmd_graph_loops(args) -> int:
         catalog = LoopCatalog(provenance="strongest-path")
         targets = None if args.start == "all" else [args.start]
         strongest_path_pass(graph, catalog, targets=targets)
-    return _emit_json(lambda: catalog.to_json(indent=2), args.out)
+    return _emit_json(catalog.to_json, args.out)
 
 
 def cmd_gen(args) -> int:
@@ -247,7 +248,7 @@ def cmd_compare(args) -> int:
     report = compare_catalogs(
         reference, candidate, series, top_n=args.top, near_miss_ratio=args.near_miss_ratio
     )
-    return _emit_json(lambda: json.dumps(report.to_json_dict(), indent=2, allow_nan=False), args.out)
+    return _emit_json(lambda: indented_json(report.to_json_dict()), args.out)
 
 
 # --------------------------------------------------------------------------

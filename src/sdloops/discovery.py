@@ -24,10 +24,13 @@ chains are fine.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable, Iterable, Iterator
 
 from ._graphutil import strongly_connected_components
+from ._jsonutil import indented_json
 from .dsl import Digraph, Model
 from .scoring import LinkScoreSeries, composite_scores
 
@@ -164,22 +167,41 @@ class LoopCatalog:
             ],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, allow_nan=False)
+    def to_json(self) -> str:
+        """Strict JSON with a two-space indent; NaN or an infinite score
+        raises ValueError."""
+        return indented_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopCatalog":
+        """Inverse of to_json_dict.  Each discovery_score must be a finite
+        JSON number and each loop may appear once, in any rotation."""
         catalog = cls(provenance=data.get("provenance", "unknown"), overflow=bool(data.get("overflow", False)))
         for item in data.get("loops", []):
             cycle = item["cycle"]
             if not isinstance(cycle, list):
                 raise MalformedCycleError(f"cycle {cycle!r} is not a list")
-            catalog.add(tuple(cycle), float(item["discovery_score"]), item["found_at"])
+            if not catalog.add(tuple(cycle), _finite_score(item["discovery_score"]), item["found_at"]):
+                raise MalformedCycleError(f"loop {' -> '.join(canonical_form(cycle))} is listed twice")
         return catalog
 
     @classmethod
     def from_json(cls, text: str) -> "LoopCatalog":
         return cls.from_json_dict(json.loads(text))
+
+
+def _finite_score(value) -> float:
+    """A discovery score read from JSON: an int or float, not a bool,
+    finite as a float."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            score = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+        else:
+            if math.isfinite(score):
+                return score
+    raise ValueError(f"discovery_score {value!r} is not a finite number")
 
 
 # --------------------------------------------------------------------------
@@ -253,13 +275,21 @@ def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCa
         raise ValueError("cap must be >= 1")
     if isinstance(graph, Digraph):
         graph = WeightedDigraph.from_digraph(graph)
-    adj = {v: [w for w, weight in graph.out.get(v, ()) if weight != 0.0] for v in graph.nodes}
+    # a repeated edge is one successor and weighs its first weight, as in cycle_score
+    adj = {v: list(dict.fromkeys(w for w, weight in graph.out.get(v, ()) if weight != 0.0)) for v in graph.nodes}
+    row = {src: dict(reversed(out)) for src, out in graph.out.items()}  # row[src][dst]: first weight wins
     catalog = LoopCatalog(provenance="exhaustive")
+    records = catalog._records
+    # Johnson's search yields each circuit once: no lookup before storing
     for cycle in _elementary_circuits(graph.nodes, adj):
-        if len(catalog) >= cap:
+        if len(records) >= cap:
             catalog.overflow = True
             break
-        catalog.add(cycle, graph.cycle_score(canonical_form(cycle)), "static")
+        pivot = cycle.index(min(cycle))
+        key = tuple(cycle[pivot:] + cycle[:pivot])
+        # the canonical rotation's edges in order: cycle_score's products, bit for bit
+        score = math.prod(map(getitem, map(row.__getitem__, key), key[1:] + key[:1]))
+        records[key] = LoopRecord(key, score, "static")
     return catalog
 
 

@@ -454,53 +454,33 @@ def _parse_statement(p: _LineParser) -> tuple[str, object]:
 # --------------------------------------------------------------------------
 # Expression utilities
 
+def _preorder(expr):
+    """Every node of an expression in pre-order, from an explicit stack
+    (so chains of any length are fine)."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Bin):
+            stack += (node.right, node.left)
+        elif isinstance(node, If):
+            stack += (node.orelse, node.then, node.cond)
+        elif isinstance(node, Call):
+            stack += reversed(node.args)
+
+
 def expr_refs(expr) -> list[str]:
     """Distinct variable names referenced by an expression, in first
     occurrence order of a pre-order walk."""
-    seen: dict[str, None] = {}
-
-    def walk(node) -> None:
-        if isinstance(node, Ref):
-            seen.setdefault(node.name)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Bin):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, If):
-            walk(node.cond)
-            walk(node.then)
-            walk(node.orelse)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a)
-
-    walk(expr)
-    return list(seen)
+    return list(dict.fromkeys(node.name for node in _preorder(expr) if isinstance(node, Ref)))
 
 
 def iter_if_nodes(expr) -> list[If]:
     """All IF nodes of an expression in pre-order.  The position in this
     list is the node's branch-trace slot."""
-    out: list[If] = []
-
-    def walk(node) -> None:
-        if isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Bin):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, If):
-            out.append(node)
-            walk(node.cond)
-            walk(node.then)
-            walk(node.orelse)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a)
-
-    walk(expr)
-    return out
+    return [node for node in _preorder(expr) if isinstance(node, If)]
 
 
 # --------------------------------------------------------------------------
@@ -526,6 +506,9 @@ def parse_model(text: str) -> Model:
             kind, payload = _parse_statement(_LineParser(tokens))
         except _LineError as err:
             diags.append(err.diagnostic)
+            continue
+        except RecursionError:  # the grammar descends one level per bracket or sign
+            diags.append(Diagnostic("expression nested too deeply", Loc(lineno, 1)))
             continue
         if kind == "spec":
             new_spec, loc = payload

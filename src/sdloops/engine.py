@@ -21,13 +21,16 @@ from .dsl import (
     Bin,
     Builtin,
     Call,
+    Diagnostic,
     If,
     Loc,
     Model,
+    ModelError,
     Num,
     Ref,
     RunSpec,
     Unary,
+    Variable,
     expr_refs,
     format_number,
     iter_if_nodes,
@@ -39,6 +42,7 @@ __all__ = [
     "evaluation_order",
     "simulate",
     "compile_expr",
+    "compile_equation",
     "run_to_csv",
 ]
 
@@ -195,6 +199,17 @@ def compile_expr(expr, gated: bool = False):
     return eval(source, {"c": tuple(consts), "_take": _take, "_unrecorded": _unrecorded})
 
 
+def compile_equation(var: Variable, gated: bool = False):
+    """compile_expr on a variable's expression.  One nested too deeply
+    for Python's compiler (its tokenizer allows 200 nested brackets, so
+    about 100 AND/OR terms in a chain) or for the recursion limit raises
+    ModelError naming the variable."""
+    try:
+        return compile_expr(var.expr, gated)
+    except (SyntaxError, RecursionError):
+        raise ModelError([Diagnostic(f"equation of {var.name} is nested too deeply to compile", var.loc)]) from None
+
+
 def _eval_initials(model: Model, spec: RunSpec | None = None) -> dict[str, float]:
     """Constants and stock initial values, resolved by memoized recursion
     (validation guarantees the reference graph is acyclic)."""
@@ -207,7 +222,7 @@ def _eval_initials(model: Model, spec: RunSpec | None = None) -> dict[str, float
             return resolved[name]
         var = byname[name]
         try:
-            v = compile_expr(var.expr)(_LazyEnv(value_of), spec.start, spec.dt, {})
+            v = compile_equation(var)(_LazyEnv(value_of), spec.start, spec.dt, {})
         except ZeroDivisionError:
             raise SimulationError("division by zero", name, 0, var.loc) from None
         if not math.isfinite(v):
@@ -235,7 +250,8 @@ def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:
     """Run the model and record every variable at every step.
 
     Aborts with SimulationError naming the offending variable, step and
-    source location on division by zero or any non-finite value.
+    source location on division by zero or any non-finite value, and
+    with ModelError on an equation nested too deeply to compile.
     """
     spec = spec if spec is not None else model.run_spec
     n = spec.steps
@@ -246,7 +262,7 @@ def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:
 
     initials = _eval_initials(model, spec)
     values: dict[str, list[float]] = {v.name: [0.0] * (n + 1) for v in model.variables}
-    compiled = {name: compile_expr(byname[name].expr) for name in order}
+    compiled = {name: compile_equation(byname[name]) for name in order}
     trace = {name: [[None] * (n + 1) for _ in iter_if_nodes(byname[name].expr)] for name in order}
 
     for v in model.variables:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .dsl import Model, dependency_graph, format_number
-from .engine import RunResult, compile_expr
+from .engine import RunResult, compile_equation
 
 __all__ = [
     "LinkScoreSeries",
@@ -87,7 +87,7 @@ class _Prep:
                 self.flow_edges.append((src, dst, sign))
             else:
                 self.eq_edges.append((src, dst))
-        self.gated = {v.name: compile_expr(v.expr, gated=True) for v in model.by_kind("aux", "flow")}
+        self.gated = {v.name: compile_equation(v, gated=True) for v in model.by_kind("aux", "flow")}
 
 
 def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = None) -> dict[Edge, float]:
@@ -101,6 +101,7 @@ def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = 
     env_old = {name: values[name][k - 1] for name in run.variables}
 
     scores: dict[Edge, float] = {}
+    branches_of: dict[str, list[bool | None]] = {}  # built once per destination
     for src, dst in prep.eq_edges:
         dz = values[dst][k] - values[dst][k - 1]
         if dz == 0.0:
@@ -110,7 +111,9 @@ def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = 
         if dx == 0.0:
             scores[(src, dst)] = 0.0
             continue
-        branches = run.branches_at(dst, k - 1)
+        branches = branches_of.get(dst)
+        if branches is None:
+            branches = branches_of[dst] = run.branches_at(dst, k - 1)
         saved = env_old[src]
         env_old[src] = values[src][k]
         try:

@@ -301,6 +301,26 @@ class TestCompareMalformedCatalog:
             ('{"loops": [{"cycle": [], "discovery_score": 1.0, "found_at": 0}]}', "empty cycle"),
             ('{"loops": [{"cycle": "ab", "discovery_score": 1.0, "found_at": 0}]}', "cycle 'ab' is not a list"),
             ('{"loops": [{"cycle": ["a"], "discovery_score": "x", "found_at": 0}]}', "malformed loop entry"),
+            *(
+                (
+                    f'{{"loops": [{{"cycle": ["a"], "discovery_score": {score}, "found_at": 0}}]}}',
+                    f"malformed loop entry (discovery_score {shown} is not a finite number)",
+                )
+                for score, shown in (
+                    ('"nan"', "'nan'"),
+                    ('"2"', "'2'"),
+                    ("true", "True"),
+                    ('"1e999"', "'1e999'"),
+                    ("NaN", "nan"),
+                    ("1e999", "inf"),
+                    ("-Infinity", "-inf"),
+                )
+            ),
+            (
+                '{"loops": [{"cycle": ["a", "b"], "discovery_score": 1.0, "found_at": 0},'
+                ' {"cycle": ["b", "a"], "discovery_score": 2.0, "found_at": 1}]}',
+                "loop a -> b is listed twice",
+            ),
             ('{"loops": 5}', "malformed loop entry"),
             ('{"loops": ["ab"]}', "malformed loop entry"),
         ],
@@ -316,6 +336,48 @@ class TestCompareMalformedCatalog:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{bad}: {problem}" in captured.err
+
+
+def _one_flow_model(flow: str) -> str:
+    return f"SPEC START = 0 STOP = 3 DT = 1\nSTOCK s = 1 {{ inflow: f }}\nFLOW f = {flow}\n"
+
+
+class TestDeepNesting:
+    """Model text nested deeper than the parser's recursion or Python's
+    compiler allows is a diagnostic (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "flow, message",
+        [
+            ("(" * 150 + "s" + ")" * 150, "error: expression nested too deeply (line 3, col 1)"),
+            ("s - (" * 150 + "s" + ")" * 150, "error: expression nested too deeply (line 3, col 1)"),
+            ("-" * 3000 + "s", "error: expression nested too deeply (line 3, col 1)"),
+            (" AND ".join(f"s > {i}" for i in range(120)), "error: equation of f is nested too deeply to compile"),
+            ("IF s > 0 THEN " * 300 + "s" + " ELSE 0" * 300, "error: equation of f is nested too deeply to compile"),
+            (" + ".join(["s"] * 3000), "error: equation of f is nested too deeply to compile"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_diagnostic_and_exit_2(self, flow, message, command, tmp_path, capsys):
+        path = tmp_path / "deep.sdm"
+        path.write_text(_one_flow_model(flow), encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err.splitlines()[0]
+
+    def test_deep_initial_value_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "deep.sdm"
+        path.write_text(
+            "SPEC START = 0 STOP = 3 DT = 1\nCONST c = " + " AND ".join(["1"] * 120) + "\n", encoding="utf-8"
+        )
+        assert main(["simulate", str(path)]) == 2
+        assert "equation of c is nested too deeply to compile" in capsys.readouterr().err
+
+    def test_long_sum_still_runs(self, tmp_path):
+        path = tmp_path / "long.sdm"
+        path.write_text(_one_flow_model(" + ".join(["0.001 * s"] * 500)), encoding="utf-8")
+        assert main(["analyze", str(path), "--out", str(tmp_path / "out.json")]) == 0
 
 
 class TestUsage:

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sdloops as sl
 from sdloops.discovery import (
     LoopCatalog,
     MalformedCycleError,
     WeightedDigraph,
+    _elementary_circuits,
     canonical_form,
     enumerate_loops,
     step_graph,
@@ -131,6 +133,63 @@ def test_enumerate_matches_networkx_oracle(edges):
     oracle = nx.DiGraph(edges)
     expected = {canonical_form(c) for c in nx.simple_cycles(oracle)}
     assert mine.cycles() == expected
+
+
+def _enumerate_with_cycle_score(graph: WeightedDigraph, cap: int) -> LoopCatalog:
+    """Reference: every circuit through LoopCatalog.add, scored by the
+    linear-scan cycle_score.  A repeated edge makes the search yield its
+    circuits again; those repeats neither count nor overflow the cap."""
+    adj = {v: [w for w, weight in graph.out.get(v, ()) if weight != 0.0] for v in graph.nodes}
+    catalog = LoopCatalog(provenance="exhaustive")
+    for cycle in _elementary_circuits(graph.nodes, adj):
+        if cycle in catalog:
+            continue
+        if len(catalog) >= cap:
+            catalog.overflow = True
+            break
+        catalog.add(cycle, graph.cycle_score(canonical_form(cycle)), "static")
+    return catalog
+
+
+def _records(catalog: LoopCatalog) -> list[tuple]:
+    return [(rec.cycle, repr(rec.discovery_score), rec.found_at) for rec in catalog.loops()]
+
+
+_weights = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300, 0.1, 3.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # repeated (src, dst) pairs and self loops included: the first weight of a repeated edge counts
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), _weights), min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=60),
+)
+@example(rows=[(0, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)], cap=1)
+@example(rows=[(0, 1, 0.0), (0, 1, -2.0), (1, 0, 3.0), (1, 0, 3.5), (1, 1, 0.5)], cap=5)
+@example(rows=[(0, 1, 0.1), (1, 2, 0.2), (2, 0, 0.3), (2, 1, 0.7)], cap=60)
+def test_enumerate_scores_are_cycle_scores_bit_for_bit(rows, cap):
+    graph = WeightedDigraph.from_edges((f"v{i}", f"v{j}", w) for i, j, w in rows)
+    catalog = enumerate_loops(graph, cap=cap)
+    for rec in catalog.loops():
+        assert rec.discovery_score == graph.cycle_score(rec.cycle)
+        assert repr(rec.discovery_score) == repr(graph.cycle_score(rec.cycle))
+    reference = _enumerate_with_cycle_score(graph, cap)
+    assert _records(catalog) == _records(reference)
+    assert catalog.overflow == reference.overflow
+
+
+def test_enumerate_scores_on_a_complete_graph_are_cycle_scores():
+    rng = random.Random(3)
+    graph = WeightedDigraph.from_edges(
+        (f"n{i:02d}", f"n{j:02d}", rng.uniform(0.05, 1.0) * rng.choice((1.0, -1.0)))
+        for i in range(9)
+        for j in range(9)
+        if i != j
+    )
+    catalog = enumerate_loops(graph, cap=3000)
+    assert catalog.overflow and len(catalog) == 3000
+    assert all(rec.discovery_score == graph.cycle_score(rec.cycle) for rec in catalog.loops())
+    assert _records(catalog) == _records(_enumerate_with_cycle_score(graph, 3000))
 
 
 class TestStrongestPath:
@@ -362,6 +421,30 @@ class TestCatalogJson:
         for item in data["loops"]:
             cycle = tuple(item["cycle"])
             assert cycle == canonical_form(cycle)
+
+    def test_integer_score_is_read_as_float(self):
+        data = {"loops": [{"cycle": ["b", "a"], "discovery_score": 2, "found_at": 3}]}
+        (rec,) = LoopCatalog.from_json_dict(data).loops()
+        assert rec.cycle == ("a", "b")
+        assert type(rec.discovery_score) is float and rec.discovery_score == 2.0
+
+    @pytest.mark.parametrize("score", ["nan", "2", True, False, None, "1e999", math.nan, math.inf, -math.inf, 10**400, [1.0]])
+    def test_score_must_be_a_finite_number(self, score):
+        data = {"loops": [{"cycle": ["a", "b"], "discovery_score": score, "found_at": "static"}]}
+        with pytest.raises(ValueError, match="is not a finite number"):
+            LoopCatalog.from_json_dict(data)
+
+    def test_non_finite_json_literals_are_rejected(self):
+        for literal in ("NaN", "Infinity", "-Infinity", "1e999"):
+            text = f'{{"loops": [{{"cycle": ["a"], "discovery_score": {literal}, "found_at": 0}}]}}'
+            with pytest.raises(ValueError, match="is not a finite number"):
+                LoopCatalog.from_json(text)
+
+    @pytest.mark.parametrize("second", [["a", "b", "c"], ["c", "a", "b"]])
+    def test_repeated_loop_is_rejected(self, second):
+        loops = [{"cycle": cycle, "discovery_score": 1.0, "found_at": 0} for cycle in (["b", "c", "a"], second)]
+        with pytest.raises(MalformedCycleError, match="loop a -> b -> c is listed twice"):
+            LoopCatalog.from_json_dict({"loops": loops})
 
     @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
     def test_non_finite_score_is_not_written(self, score):

@@ -71,6 +71,22 @@ class TestStepApi:
             step = link_score_step(two_stock_model, two_stock_run, k)
             assert step == {e: two_stock_series.series[e][k] for e in two_stock_series.edges}
 
+    def test_branches_read_once_per_destination_per_step(
+        self, two_stock_model, two_stock_run, two_stock_series, monkeypatch
+    ):
+        calls = []
+        original = two_stock_run.branches_at
+
+        def branches_at(name, k):
+            calls.append((name, k))
+            return original(name, k)
+
+        monkeypatch.setattr(two_stock_run, "branches_at", branches_at)
+        assert sl.score_all(two_stock_model, two_stock_run).series == two_stock_series.series
+        assert calls and len(calls) == len(set(calls))
+        destinations = {dst for _, dst in two_stock_series.edges}
+        assert {name for name, _ in calls} <= destinations
+
     def test_constant_input_scores_zero(self):
         model = sl.parse_model(
             "SPEC START = 0 STOP = 4 DT = 1\n"
