@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (bad flags or unreadable input
-paths), 2 model diagnostics (parse/validate failures), 3 runtime failure
+paths), 2 input diagnostics (parse/validate failures, malformed or
+non-UTF-8 input files), 3 runtime failure
 (aborted simulation, exhausted loop cap in forced exhaustive mode, a
 non-finite number in JSON output).
 All commands are deterministic for identical inputs and flags.
@@ -58,7 +59,11 @@ def _read_text(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise _UsageError(f"file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        problem = f"not UTF-8 text (byte {err.object[err.start]:#04x} at offset {err.start})"
+        raise ModelError([Diagnostic(f"{path}: {problem}")]) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -230,6 +235,8 @@ def cmd_gen(args) -> int:
 def cmd_compare(args) -> int:
     if args.top < 1:
         raise _UsageError("--top must be >= 1")
+    if not 0.0 <= args.near_miss_ratio <= 1.0:  # also rejects NaN
+        raise _UsageError("--near-miss-ratio must be a number in [0, 1]")
     reference = _load_catalog(args.reference)
     candidate = _load_catalog(args.candidate)
     series = None

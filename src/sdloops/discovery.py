@@ -97,10 +97,6 @@ class WeightedDigraph:
         stockset = frozenset(stocks) if stocks is not None else frozenset(nodes)
         return cls(nodes, stockset & frozenset(nodes), out)
 
-    @classmethod
-    def from_digraph(cls, graph: Digraph, stocks: Iterable[str] | None = None) -> "WeightedDigraph":
-        return cls.from_edges(((s, d, 1.0) for s, d in graph.edges), stocks=stocks)
-
     def weight(self, src: str, dst: str) -> float:
         for node, w in self.out.get(src, ()):
             if node == dst:
@@ -143,9 +139,6 @@ class LoopCatalog:
 
     def cycles(self) -> set[Cycle]:
         return set(self._records)
-
-    def get(self, cycle: Iterable[str]) -> LoopRecord | None:
-        return self._records.get(canonical_form(cycle))
 
     def __contains__(self, cycle) -> bool:
         return canonical_form(cycle) in self._records
@@ -274,7 +267,7 @@ def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCa
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if isinstance(graph, Digraph):
-        graph = WeightedDigraph.from_digraph(graph)
+        graph = WeightedDigraph.from_edges((s, d, 1.0) for s, d in graph.edges)
     # a repeated edge is one successor and weighs its first weight, as in cycle_score
     adj = {v: list(dict.fromkeys(w for w, weight in graph.out.get(v, ()) if weight != 0.0)) for v in graph.nodes}
     row = {src: dict(reversed(out)) for src, out in graph.out.items()}  # row[src][dst]: first weight wins

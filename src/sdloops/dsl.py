@@ -175,6 +175,7 @@ class Model:
     warnings: tuple[Diagnostic, ...] = field(default=(), compare=False, repr=False)
 
     def variable(self, name: str) -> Variable:
+        """The variable called `name`, by a linear scan; KeyError if none."""
         for v in self.variables:
             if v.name == name:
                 return v
@@ -196,10 +197,8 @@ class Digraph:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def out_edges(self, src: str) -> list[str]:
-        return [d for s, d in self.edges if s == src]
-
     def in_edges(self, dst: str) -> list[str]:
+        """Sources of the edges into `dst`, by a linear scan of the edges."""
         return [s for s, d in self.edges if d == dst]
 
 
@@ -266,6 +265,7 @@ class _LineParser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.declared: Variable | None = None  # set once a declaration's keyword and name are read
 
     @property
     def cur(self) -> _Token:
@@ -420,32 +420,27 @@ def _parse_statement(p: _LineParser) -> tuple[str, object]:
         dt = p.expect_num().value
         p.expect_end()
         return "spec", (RunSpec(start, stop, dt), tok.loc)
-    if p.at_kw("CONST", "AUX", "FLOW"):
-        kind = {"CONST": "const", "AUX": "aux", "FLOW": "flow"}[p.take().text]
+    if p.at_kw("CONST", "AUX", "FLOW", "STOCK"):
+        kind = p.take().text.lower()
         name = p.expect_ident()
+        p.declared = Variable(name.text, kind, Num(0.0), loc=name.loc)
         p.expect_op("=")
         expr = p.expr()
-        p.expect_end()
-        return "var", Variable(name.text, kind, expr, loc=name.loc)
-    if p.at_kw("STOCK"):
-        p.take()
-        name = p.expect_ident()
-        p.expect_op("=")
-        expr = p.expr()
-        p.expect_op("{")
         inflows: list[str] = []
         outflows: list[str] = []
-        if p.at_kw("INFLOW"):
-            p.take()
-            p.expect_op(":")
-            inflows = p.idlist()
-        if p.at_kw("OUTFLOW"):
-            p.take()
-            p.expect_op(":")
-            outflows = p.idlist()
-        p.expect_op("}")
+        if kind == "stock":
+            p.expect_op("{")
+            if p.at_kw("INFLOW"):
+                p.take()
+                p.expect_op(":")
+                inflows = p.idlist()
+            if p.at_kw("OUTFLOW"):
+                p.take()
+                p.expect_op(":")
+                outflows = p.idlist()
+            p.expect_op("}")
         p.expect_end()
-        return "var", Variable(name.text, "stock", expr, tuple(inflows), tuple(outflows), loc=name.loc)
+        return "var", Variable(name.text, kind, expr, tuple(inflows), tuple(outflows), loc=name.loc)
     raise _LineError(
         Diagnostic(f"expected SPEC, CONST, AUX, FLOW or STOCK, got {p._describe()}", tok.loc)
     )
@@ -499,16 +494,22 @@ def parse_model(text: str) -> Model:
     spec_loc: Loc | None = None
 
     for lineno, line in enumerate(text.splitlines(), start=1):
+        parser = None
         try:
             tokens = _tokenize_line(line, lineno)
             if tokens[0].kind == "end":
                 continue
-            kind, payload = _parse_statement(_LineParser(tokens))
-        except _LineError as err:
-            diags.append(err.diagnostic)
-            continue
-        except RecursionError:  # the grammar descends one level per bracket or sign
-            diags.append(Diagnostic("expression nested too deeply", Loc(lineno, 1)))
+            parser = _LineParser(tokens)
+            kind, payload = _parse_statement(parser)
+        except (_LineError, RecursionError) as err:
+            if isinstance(err, _LineError):
+                diags.append(err.diagnostic)
+            else:  # the grammar descends one level per bracket or sign
+                diags.append(Diagnostic("expression nested too deeply", Loc(lineno, 1)))
+            if parser is not None and parser.declared is not None:
+                # a stand-in with the line's name and kind, so that its readers and
+                # flow lists add no second diagnostic for the same fault
+                variables.append(parser.declared)
             continue
         if kind == "spec":
             new_spec, loc = payload

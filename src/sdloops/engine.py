@@ -83,9 +83,6 @@ class RunResult:
     def dt(self) -> float:
         return self.spec.dt
 
-    def value(self, name: str, k: int) -> float:
-        return self.values[name][k]
-
     def branches_at(self, name: str, k: int) -> list[bool | None]:
         return [slots[k] for slots in self.branch_trace[name]]
 
@@ -94,13 +91,20 @@ def evaluation_order(model: Model) -> list[str]:
     """Topological order of Aux/Flow variables under instantaneous
     dependencies, ties broken by declaration order.  Stocks and constants
     are excluded: their values are known before evaluation."""
+    return _topological_order(model, ("aux", "flow"))
+
+
+def _topological_order(model: Model, kinds: tuple[str, ...]) -> list[str]:
+    """The variables of `kinds` ordered so that each follows the ones of
+    those kinds its expression references (Kahn's algorithm; ready
+    variables leave a heap in declaration order)."""
     decl_index = {v.name: i for i, v in enumerate(model.variables)}
-    af = model.by_kind("aux", "flow")
-    af_names = {v.name for v in af}
+    members = model.by_kind(*kinds)
+    names = {v.name for v in members}
     pending: dict[str, set[str]] = {}
-    dependents: dict[str, list[str]] = {name: [] for name in af_names}
-    for v in af:
-        deps = {r for r in expr_refs(v.expr) if r in af_names and r != v.name}
+    dependents: dict[str, list[str]] = {name: [] for name in names}
+    for v in members:
+        deps = {r for r in expr_refs(v.expr) if r in names and r != v.name}
         pending[v.name] = deps
         for d in deps:
             dependents[d].append(v.name)
@@ -116,8 +120,8 @@ def evaluation_order(model: Model) -> list[str]:
             deps.discard(name)
             if not deps:
                 heapq.heappush(ready, (decl_index[dep], dep))
-    if len(order) != len(af_names):
-        unresolved = sorted(af_names - set(order))
+    if len(order) != len(names):
+        unresolved = sorted(names - set(order))
         raise ValueError(f"instantaneous cycle among {', '.join(unresolved)}")
     return order
 
@@ -211,39 +215,21 @@ def compile_equation(var: Variable, gated: bool = False):
 
 
 def _eval_initials(model: Model, spec: RunSpec | None = None) -> dict[str, float]:
-    """Constants and stock initial values, resolved by memoized recursion
+    """Constants and stock initial values, evaluated in dependency order
     (validation guarantees the reference graph is acyclic)."""
     spec = spec if spec is not None else model.run_spec
     byname = {v.name: v for v in model.variables}
-    resolved: dict[str, float] = {}
-
-    def value_of(name: str) -> float:
-        if name in resolved:
-            return resolved[name]
+    initials: dict[str, float] = {}
+    for name in _topological_order(model, ("const", "stock")):
         var = byname[name]
         try:
-            v = compile_equation(var)(_LazyEnv(value_of), spec.start, spec.dt, {})
+            v = compile_equation(var)(initials, spec.start, spec.dt, {})
         except ZeroDivisionError:
             raise SimulationError("division by zero", name, 0, var.loc) from None
         if not math.isfinite(v):
             raise SimulationError("non-finite value", name, 0, var.loc)
-        resolved[name] = v
-        return v
-
-    for v in model.variables:
-        if v.kind in ("const", "stock"):
-            value_of(v.name)
-    return resolved
-
-
-class _LazyEnv(dict):
-    def __init__(self, fetch):
-        super().__init__()
-        self._fetch = fetch
-
-    def __missing__(self, name):
-        v = self[name] = self._fetch(name)
-        return v
+        initials[name] = v
+    return initials
 
 
 def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:

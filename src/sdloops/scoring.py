@@ -51,9 +51,6 @@ class LinkScoreSeries:
     def n(self) -> int:
         return len(self.times) - 1
 
-    def score(self, edge: Edge, k: int) -> float:
-        return self.series[edge][k]
-
 
 @dataclass
 class CompositeWeights:

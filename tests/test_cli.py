@@ -77,6 +77,20 @@ class TestSimulate:
         assert main(["simulate", twostock_path, "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").startswith("time,")
 
+    def test_initial_values_in_reverse_dependency_order(self, tmp_path, capsys):
+        # every constant and every stock initial value is declared before the one it references
+        n = 3000
+        lines = ["SPEC START = 0 STOP = 1 DT = 1"]
+        lines += [f"CONST c{i} = c{i - 1} + 1" for i in range(n - 1, 0, -1)] + ["CONST c0 = 1"]
+        lines += [f"STOCK s{i} = s{i - 1} + c{i} {{ }}" for i in range(n - 1, 0, -1)] + ["STOCK s0 = c0 { }"]
+        path = tmp_path / "reversed.sdm"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["simulate", str(path)]) == 0
+        header, first, _ = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), first.split(",")))
+        assert row["c2999"] == "3000.0"
+        assert row["s2999"] == repr(3000 * 3001 / 2)
+
 
 class TestAnalyze:
     def test_arms_race_exhaustive(self, armsrace_path, capsys):
@@ -277,6 +291,15 @@ class TestCompare:
         assert captured.out == ""
         assert "--top must be >= 1" in captured.err
 
+    @pytest.mark.parametrize("ratio", ["nan", "-0.1", "1.5"])
+    def test_near_miss_ratio_outside_unit_interval_is_a_usage_error(self, ratio, tmp_path, capsys):
+        path = tmp_path / "cat.json"
+        path.write_text(sl.LoopCatalog().to_json(), encoding="utf-8")
+        assert main(["compare", str(path), str(path), f"--near-miss-ratio={ratio}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --near-miss-ratio must be a number in [0, 1]\n"
+
 
 class TestCompareMalformedCatalog:
     """A catalog file that is not a loop catalog is a diagnostic naming
@@ -378,6 +401,74 @@ class TestDeepNesting:
         path = tmp_path / "long.sdm"
         path.write_text(_one_flow_model(" + ".join(["0.001 * s"] * 500)), encoding="utf-8")
         assert main(["analyze", str(path), "--out", str(tmp_path / "out.json")]) == 0
+
+
+class TestOneFaultOneDiagnostic:
+    """A declaration line that fails after its keyword and name still
+    declares that name and kind, so its readers and the flow list that
+    names it report nothing more."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param(
+                "STOCK s = 1 { inflow: f }\nFLOW f = s +\n",
+                "expected expression, got end of line (line 3, col 13)",
+                id="flow",
+            ),
+            pytest.param(
+                "STOCK s = 1 { inflow: f }\nAUX a = 1 +\nFLOW f = a * s\n",
+                "expected expression, got end of line (line 3, col 12)",
+                id="aux",
+            ),
+            pytest.param(
+                "CONST c = 2 *\nSTOCK s = c { inflow: f }\nFLOW f = c\n",
+                "expected expression, got end of line (line 2, col 14)",
+                id="const",
+            ),
+            pytest.param(
+                "STOCK s = { inflow: f }\nFLOW f = 0.1 * s\n",
+                "expected expression, got '{' (line 2, col 11)",
+                id="stock",
+            ),
+            pytest.param(
+                "STOCK s = 1 { inflow: f }\nFLOW f = " + "(" * 150 + "s" + ")" * 150 + "\n",
+                "expression nested too deeply (line 3, col 1)",
+                id="nested-flow",
+            ),
+        ],
+    )
+    def test_stderr_has_one_line(self, body, message, tmp_path, capsys):
+        path = tmp_path / "broken.sdm"
+        path.write_text("SPEC START = 0 STOP = 3 DT = 1\n" + body, encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+class TestNotUtf8:
+    """Input that is not UTF-8 is a diagnostic naming the file (exit 2),
+    whichever command reads it."""
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            pytest.param("analyze", b"SPEC START = 0 STOP = 1 DT = 1\n# caf\xff\n", id="analyze"),
+            pytest.param("graph-loops", b"src,dst,weight\na,b,1\nb,\xff,2\n", id="graph-loops"),
+            pytest.param(
+                "compare", b'{"loops": [{"cycle": ["a\xff"], "discovery_score": 1.0, "found_at": 0}]}', id="compare"
+            ),
+        ],
+    )
+    def test_diagnostic_names_file(self, command, content, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        argv = [command, str(path)] + ([str(path)] if command == "compare" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text (byte 0xff at offset {content.index(0xFF)})\n"
 
 
 class TestUsage:
