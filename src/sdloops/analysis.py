@@ -146,29 +146,27 @@ def rank_and_filter(
 
 def _cyclic_overlap_ratio(a: Cycle, b: Cycle) -> float:
     """Longest common contiguous segment of two cycles (rotation
-    invariant), as a fraction of the longer cycle's length."""
+    invariant), as a fraction of the longer cycle's length.
+
+    Neither cycle repeats a node, so a common segment is a run of
+    consecutive nodes of a + a whose positions in b go up by 1 modulo
+    len(b)."""
     if not a or not b:
         return 0.0
-    if canonical_form(a) == canonical_form(b):
-        return 1.0
-    aa = a + a
-    bb = b + b
-    cap = min(len(a), len(b))
-    best = 0
-    prev = [0] * (len(bb) + 1)
-    for i in range(1, len(aa) + 1):
-        cur = [0] * (len(bb) + 1)
-        ai = aa[i - 1]
-        for j in range(1, len(bb) + 1):
-            if ai == bb[j - 1]:
-                run = prev[j - 1] + 1
-                if run > cap:
-                    run = cap
-                cur[j] = run
-                if run > best:
-                    best = run
-        prev = cur
-    return best / max(len(a), len(b))
+    where = {node: i for i, node in enumerate(b)}
+    best = run = 0
+    prev = -1
+    for node in a + a:
+        i = where.get(node, -1)
+        if i < 0:
+            run = 0
+        elif run and i == (prev + 1) % len(b):
+            run += 1
+        else:
+            run = 1
+        prev = i
+        best = max(best, run)
+    return min(best, len(a), len(b)) / max(len(a), len(b))
 
 
 def compare_catalogs(

@@ -96,16 +96,16 @@ def _load_model(path: str):
 
 
 def _run_spec(model, args) -> RunSpec:
-    spec = model.run_spec
-    start = spec.start if args.start is None else args.start
-    stop = spec.stop if args.stop is None else args.stop
-    dt = spec.dt if args.dt is None else args.dt
-    if dt <= 0 or stop <= start:
-        raise _UsageError("need dt > 0 and stop > start")
-    steps = (stop - start) / dt
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-        raise _UsageError("(stop - start) / dt must be a whole number of steps")
-    return RunSpec(start, stop, dt)
+    base = model.run_spec
+    spec = RunSpec(
+        base.start if args.start is None else args.start,
+        base.stop if args.stop is None else args.stop,
+        base.dt if args.dt is None else args.dt,
+    )
+    problems = spec.problems()
+    if problems:
+        raise _UsageError("; ".join(problems))
+    return spec
 
 
 def _parse_edge_csv(text: str) -> list[tuple[str, str, float]]:
@@ -145,6 +145,8 @@ def _load_catalog(path: str) -> LoopCatalog:
         return LoopCatalog.from_json(text)
     except JSONDecodeError as err:
         problem = f"not valid JSON ({err})"
+    except RecursionError:
+        problem = "JSON nested too deeply"
     except AttributeError:
         # from_json_dict reads the top level with dict.get
         problem = "the top level is not a JSON object"

@@ -83,17 +83,14 @@ class WeightedDigraph:
         """Build from (src, dst, weight) triples; node order is first
         appearance.  With sort=False the outbound lists keep insertion
         order (only useful for measuring what the sorting buys)."""
-        order: dict[str, None] = {}
         out: dict[str, list[tuple[str, float]]] = {}
         for src, dst, w in edges:
-            order.setdefault(src)
-            order.setdefault(dst)
             out.setdefault(src, []).append((dst, float(w)))
             out.setdefault(dst, [])
-        for src in out:
-            if sort:
-                out[src].sort(key=lambda e: -abs(e[1]))
-        nodes = tuple(order)
+        if sort:
+            for targets in out.values():
+                targets.sort(key=lambda e: -abs(e[1]))
+        nodes = tuple(out)
         stockset = frozenset(stocks) if stocks is not None else frozenset(nodes)
         return cls(nodes, stockset & frozenset(nodes), out)
 

@@ -20,6 +20,7 @@ between threads; every function in this module is pure.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -156,6 +157,20 @@ class RunSpec:
     @property
     def steps(self) -> int:
         return round((self.stop - self.start) / self.dt)
+
+    def problems(self) -> list[str]:
+        """Why the span is not a whole, finite number of steps (empty
+        when it is).  The comparisons are written so that NaN fails them."""
+        problems = []
+        if not self.dt > 0:
+            problems.append("DT must be positive")
+        if not self.stop > self.start:
+            problems.append("STOP must be greater than START")
+        if not problems:
+            steps = (self.stop - self.start) / self.dt  # inf if a bound is, or if the span overflows
+            if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+                problems.append("(STOP - START) / DT must be a whole number of steps")
+        return problems
 
 
 @dataclass
@@ -534,17 +549,7 @@ def parse_model(text: str) -> Model:
 
 
 def _structural_diagnostics(model: Model, spec_loc: Loc | None = None) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    spec = model.run_spec
-
-    if spec.dt <= 0:
-        diags.append(Diagnostic("DT must be positive", spec_loc))
-    if spec.stop <= spec.start:
-        diags.append(Diagnostic("STOP must be greater than START", spec_loc))
-    if spec.dt > 0 and spec.stop > spec.start:
-        steps = (spec.stop - spec.start) / spec.dt
-        if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-            diags.append(Diagnostic("(STOP - START) / DT must be a whole number of steps", spec_loc))
+    diags = [Diagnostic(problem, spec_loc) for problem in model.run_spec.problems()]
 
     byname: dict[str, Variable] = {}
     for v in model.variables:

@@ -75,16 +75,13 @@ class _Prep:
 
     def __init__(self, model: Model):
         self.graph = dependency_graph(model)
-        byname = {v.name: v for v in model.variables}
-        self.eq_edges: list[tuple[str, str]] = []   # (src, dst) into aux/flow equations
-        self.flow_edges: list[tuple[str, str, float]] = []  # (flow, stock, sign)
+        # dependency_graph lists each destination's edges together, so this
+        # map walks the edges in graph order
+        self.sources: dict[str, list[str]] = {}
         for src, dst in self.graph.edges:
-            if byname[dst].kind == "stock":
-                sign = 1.0 if src in byname[dst].inflows else -1.0
-                self.flow_edges.append((src, dst, sign))
-            else:
-                self.eq_edges.append((src, dst))
+            self.sources.setdefault(dst, []).append(src)
         self.gated = {v.name: compile_equation(v, gated=True) for v in model.by_kind("aux", "flow")}
+        self.inflows = {v.name: set(v.inflows) for v in model.by_kind("stock")}
 
 
 def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = None) -> dict[Edge, float]:
@@ -98,44 +95,37 @@ def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = 
     env_old = {name: values[name][k - 1] for name in run.variables}
 
     scores: dict[Edge, float] = {}
-    branches_of: dict[str, list[bool | None]] = {}  # built once per destination
-    for src, dst in prep.eq_edges:
-        dz = values[dst][k] - values[dst][k - 1]
+    for dst, srcs in prep.sources.items():
+        z = values[dst]
+        dz = z[k] - z[k - 1]
         if dz == 0.0:
-            scores[(src, dst)] = 0.0
+            for src in srcs:
+                scores[(src, dst)] = 0.0
             continue
-        dx = values[src][k] - values[src][k - 1]
-        if dx == 0.0:
-            scores[(src, dst)] = 0.0
+        gated = prep.gated.get(dst)
+        if gated is None:  # a stock: its sources are the flows attached to it
+            inflows = prep.inflows[dst]
+            for flow in srcs:
+                sign = 1.0 if flow in inflows else -1.0
+                scores[(flow, dst)] = abs(sign * values[flow][k - 1] * dt / dz) * sign
             continue
-        branches = branches_of.get(dst)
-        if branches is None:
-            branches = branches_of[dst] = run.branches_at(dst, k - 1)
-        saved = env_old[src]
-        env_old[src] = values[src][k]
-        try:
-            mixed = prep.gated[dst](env_old, t_old, dt, branches)
-        except (ZeroDivisionError, ValueError):
-            # the gated equation cannot be evaluated at the mixed point;
-            # no attributable contribution
-            scores[(src, dst)] = 0.0
-            continue
-        finally:
-            env_old[src] = saved
-        dxz = mixed - values[dst][k - 1]
-        if not math.isfinite(dxz):
-            scores[(src, dst)] = 0.0
-            continue
-        scores[(src, dst)] = abs(dxz / dz) * _sign(dxz * dx)
-
-    for flow, stock, sign in prep.flow_edges:
-        ds = values[stock][k] - values[stock][k - 1]
-        if ds == 0.0:
-            s = 0.0
-        else:
-            contribution = sign * values[flow][k - 1] * dt
-            s = abs(contribution / ds) * sign
-        scores[(flow, stock)] = s
+        branches = run.branches_at(dst, k - 1)
+        for src in srcs:
+            x = values[src]
+            dx = x[k] - x[k - 1]
+            if dx == 0.0:
+                scores[(src, dst)] = 0.0
+                continue
+            env_old[src] = x[k]
+            try:
+                dxz = gated(env_old, t_old, dt, branches) - z[k - 1]
+            except (ZeroDivisionError, ValueError):
+                # the gated equation cannot be evaluated at the mixed point;
+                # no attributable contribution
+                dxz = math.nan
+            finally:
+                env_old[src] = x[k - 1]
+            scores[(src, dst)] = abs(dxz / dz) * _sign(dxz * dx) if math.isfinite(dxz) else 0.0
     return scores
 
 
@@ -159,13 +149,8 @@ def composite_scores(series: LinkScoreSeries, mode: str) -> CompositeWeights:
     weights: dict[Edge, float] = {}
     for edge, scores in series.series.items():
         if mode == "max":
-            best = 0.0
-            best_mag = 0.0
-            for s in scores:
-                if abs(s) > best_mag:
-                    best_mag = abs(s)
-                    best = s
-            weights[edge] = best
+            # max keeps the first of equal magnitudes: the earliest step
+            weights[edge] = max(scores, key=abs)
         else:
             mag = sum(abs(s) for s in scores[1:]) / n
             if mag == 0.0:

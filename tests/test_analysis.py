@@ -14,7 +14,7 @@ from sdloops.analysis import (
     profiles_to_csv,
     ranking_to_json_dict,
 )
-from sdloops.discovery import LoopCatalog, WeightedDigraph, enumerate_loops
+from sdloops.discovery import LoopCatalog, WeightedDigraph, canonical_form, enumerate_loops
 from sdloops.scoring import LinkScoreSeries
 
 
@@ -301,6 +301,37 @@ class TestOverlapRatio:
         b = ("o", "p", "m", "q")
         # contiguous run o,p,m crosses a's wrap point
         assert _cyclic_overlap_ratio(a, b) == pytest.approx(3 / 4)
+
+
+def reference_overlap_ratio(a, b):
+    """Longest common substring of a + a and b + b, capped at the shorter
+    cycle's length, by dynamic programming over every pair of positions."""
+    if not a or not b:
+        return 0.0
+    if canonical_form(a) == canonical_form(b):
+        return 1.0
+    aa = a + a
+    bb = b + b
+    cap = min(len(a), len(b))
+    best = 0
+    prev = [0] * (len(bb) + 1)
+    for i in range(1, len(aa) + 1):
+        cur = [0] * (len(bb) + 1)
+        for j in range(1, len(bb) + 1):
+            if aa[i - 1] == bb[j - 1]:
+                cur[j] = min(prev[j - 1] + 1, cap)
+                best = max(best, cur[j])
+        prev = cur
+    return best / max(len(a), len(b))
+
+
+_cycles = st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cycles, _cycles)
+def test_overlap_ratio_matches_reference(a, b):
+    assert _cyclic_overlap_ratio(a, b) == reference_overlap_ratio(a, b)
 
 
 class TestCompare:

@@ -77,6 +77,32 @@ class TestSimulate:
         assert main(["simulate", twostock_path, "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").startswith("time,")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dt", "nan"], "DT must be positive"),
+            (["--start", "nan"], "STOP must be greater than START"),
+            (["--stop", "inf"], "(STOP - START) / DT must be a whole number of steps"),
+            (["--dt", "inf"], "(STOP - START) / DT must be a whole number of steps"),
+            (["--stop=1", "--dt=1e-320"], "(STOP - START) / DT must be a whole number of steps"),
+            (["--start=-1e308", "--stop=1e308"], "(STOP - START) / DT must be a whole number of steps"),
+            (["--stop=0", "--dt=0"], "DT must be positive; STOP must be greater than START"),
+        ],
+    )
+    def test_span_without_a_whole_finite_step_count_is_a_usage_error(self, flags, message, twostock_path, capsys):
+        assert main(["simulate", twostock_path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_spec_line_with_infinite_stop_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "inf.sdm"
+        path.write_text("SPEC START = 0 STOP = 1e999 DT = 1\nSTOCK s = 1 { inflow: f }\nFLOW f = s\n", encoding="utf-8")
+        assert main(["simulate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: (STOP - START) / DT must be a whole number of steps (line 1, col 1)\n"
+
     def test_initial_values_in_reverse_dependency_order(self, tmp_path, capsys):
         # every constant and every stock initial value is declared before the one it references
         n = 3000
@@ -110,7 +136,7 @@ class TestAnalyze:
 
     def test_dense_auto_switches_to_strongest_path(self, tmp_path, capsys):
         model_path = tmp_path / "dense.sdm"
-        model_path.write_text(sl.gen_synthetic(sl.SyntheticSpec(stocks=8, density=1.0, seed=1)))
+        model_path.write_text(sl.gen_synthetic(sl.SyntheticSpec(stocks=8, density=1.0, seed=1)), encoding="utf-8")
         out = tmp_path / "ranking.json"
         assert main(["analyze", str(model_path), "--method", "auto", "--stride", "5", "--out", str(out)]) == 0
         data = json.loads(out.read_text(encoding="utf-8"))
@@ -120,7 +146,7 @@ class TestAnalyze:
 
     def test_forced_exhaustive_cap_exceeded(self, tmp_path, capsys):
         model_path = tmp_path / "dense.sdm"
-        model_path.write_text(sl.gen_synthetic(sl.SyntheticSpec(stocks=8, density=1.0, seed=1)))
+        model_path.write_text(sl.gen_synthetic(sl.SyntheticSpec(stocks=8, density=1.0, seed=1)), encoding="utf-8")
         assert main(["analyze", str(model_path), "--method", "exhaustive", "--cap", "50"]) == 3
         assert "cap exceeded" in capsys.readouterr().err
 
@@ -345,6 +371,8 @@ class TestCompareMalformedCatalog:
                 "loop a -> b is listed twice",
             ),
             ('{"loops": 5}', "malformed loop entry"),
+            ("[" * 100_000, "JSON nested too deeply"),
+            ('{"loops": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
             ('{"loops": ["ab"]}', "malformed loop entry"),
         ],
     )

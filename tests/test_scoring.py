@@ -3,9 +3,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sdloops as sl
-from sdloops.scoring import link_score_step
+from sdloops.engine import compile_equation
+from sdloops.scoring import LinkScoreSeries, _sign, link_score_step
 
 # Frozen by hand execution of the two-stock fixture (stocks double every
 # step; Flow_2 takes its then-branch only at evaluation time 4, Flow_1
@@ -268,3 +270,196 @@ class TestSeriesCsv:
         cells = lines[1].split(",")
         assert cells[0] == "0"
         assert float(cells[3]) == 0.0
+
+
+# hypothesis: the per-destination scoring loop and composite weights
+# against the two-loop forms they replaced, kept here as the reference
+
+
+def reference_link_score_step(model, run, k):
+    """Scores at step k: one loop over (src, dst) edges into aux/flow
+    equations, recomputing dz per edge, then one loop over flow edges."""
+    byname = {v.name: v for v in model.variables}
+    eq_edges, flow_edges = [], []
+    for src, dst in sl.dependency_graph(model).edges:
+        if byname[dst].kind == "stock":
+            flow_edges.append((src, dst, 1.0 if src in byname[dst].inflows else -1.0))
+        else:
+            eq_edges.append((src, dst))
+    gated = {v.name: compile_equation(v, gated=True) for v in model.by_kind("aux", "flow")}
+    dt = run.dt
+    t_old = run.times[k - 1]
+    values = run.values
+    env_old = {name: values[name][k - 1] for name in run.variables}
+    scores = {}
+    for src, dst in eq_edges:
+        dz = values[dst][k] - values[dst][k - 1]
+        if dz == 0.0:
+            scores[(src, dst)] = 0.0
+            continue
+        dx = values[src][k] - values[src][k - 1]
+        if dx == 0.0:
+            scores[(src, dst)] = 0.0
+            continue
+        saved = env_old[src]
+        env_old[src] = values[src][k]
+        try:
+            mixed = gated[dst](env_old, t_old, dt, run.branches_at(dst, k - 1))
+        except (ZeroDivisionError, ValueError):
+            scores[(src, dst)] = 0.0
+            continue
+        finally:
+            env_old[src] = saved
+        dxz = mixed - values[dst][k - 1]
+        if not math.isfinite(dxz):
+            scores[(src, dst)] = 0.0
+            continue
+        scores[(src, dst)] = abs(dxz / dz) * _sign(dxz * dx)
+    for flow, stock, sign in flow_edges:
+        ds = values[stock][k] - values[stock][k - 1]
+        if ds == 0.0:
+            s = 0.0
+        else:
+            contribution = sign * values[flow][k - 1] * dt
+            s = abs(contribution / ds) * sign
+        scores[(flow, stock)] = s
+    return scores
+
+
+@st.composite
+def _small_models(draw):
+    """Model text with up to three stocks, two constants, two auxiliaries
+    and three flows.  Equations mix IF, MIN, ABS and division; a flow may
+    be an inflow, an outflow, a transfer between two stocks or constant."""
+    stocks = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    consts = [f"c{i}" for i in range(draw(st.integers(0, 2)))]
+    number = st.sampled_from(["0", "1", "2", "0.5", "3"])
+
+    def expr(names, depth=2):
+        leaf = draw(st.sampled_from(names + ["NUM"]))
+        if leaf == "NUM":
+            leaf = draw(number)
+        if depth == 0 or draw(st.booleans()):
+            return leaf
+        a, b, c = (expr(names, depth - 1) for _ in range(3))
+        return draw(st.sampled_from([
+            f"({leaf} + {a})",
+            f"({leaf} - {a})",
+            f"({leaf} * {a})",
+            f"({leaf} / ({a} - {b}))",
+            f"(IF {leaf} > {a} THEN {b} ELSE {c})",
+            f"MIN({leaf}, {a})",
+            f"ABS({leaf} - {a})",
+        ]))
+
+    lines = [f"SPEC START = 0 STOP = 6 DT = {draw(st.sampled_from(['1', '0.5']))}"]
+    lines += [f"CONST {c} = {draw(number)}" for c in consts]
+    names = stocks + consts
+    for i in range(draw(st.integers(0, 2))):
+        lines.append(f"AUX a{i} = {expr(names)}")
+        names = names + [f"a{i}"]
+    inflows = {s: [] for s in stocks}
+    outflows = {s: [] for s in stocks}
+    for i in range(draw(st.integers(1, 3))):
+        flow = f"f{i}"
+        lines.append(f"FLOW {flow} = {expr(names)}")
+        into = draw(st.sampled_from(stocks + [None]))
+        out_of = draw(st.sampled_from([s for s in stocks if s != into] + [None]))
+        if into:
+            inflows[into].append(flow)
+        if out_of:
+            outflows[out_of].append(flow)
+    for s in stocks:
+        sections = [
+            f"{kind}: {', '.join(flows)}" for kind, flows in (("inflow", inflows[s]), ("outflow", outflows[s])) if flows
+        ]
+        lines.append(f"STOCK {s} = {draw(number)} {{ {' '.join(sections)} }}")
+    return "\n".join(lines) + "\n"
+
+
+# s1's change alone makes the denominator of g zero at the mixed point
+_DIVIDES_AT_MIXED_POINT = """\
+SPEC START = 0 STOP = 4 DT = 1
+FLOW up = 1
+FLOW g = IF s0 > 0 THEN 1 / (s0 - s1) + s0 ELSE s1
+STOCK s0 = 1 { inflow: up }
+STOCK s1 = 0 { inflow: up }
+STOCK s2 = 0 { inflow: g }
+"""
+_TRANSFER = """\
+SPEC START = 0 STOP = 4 DT = 1
+CONST c0 = 2
+AUX a0 = IF s0 > 6 THEN c0 ELSE s0 / 2
+FLOW move = MIN(a0, s0)
+STOCK s0 = 8 { outflow: move }
+STOCK s1 = 0 { inflow: move }
+"""
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_models())
+@example(_DIVIDES_AT_MIXED_POINT)
+@example(_TRANSFER)
+def test_link_score_step_matches_two_loop_reference(text):
+    model = sl.parse_model(text)
+    assert sl.validate(model) == []
+    try:
+        run = sl.simulate(model)
+    except sl.SimulationError:
+        assume(False)
+    series = sl.score_all(model, run)
+    for k in range(1, run.n + 1):
+        got = link_score_step(model, run, k)
+        want = reference_link_score_step(model, run, k)
+        assert list(got) == list(series.edges)
+        assert {e: repr(s) for e, s in got.items()} == {e: repr(s) for e, s in want.items()}
+        assert all(repr(series.series[e][k]) == repr(s) for e, s in got.items())
+
+
+def test_mixed_point_division_by_zero_scores_zero():
+    model = sl.parse_model(_DIVIDES_AT_MIXED_POINT)
+    run = sl.simulate(model)
+    for k in range(1, run.n + 1):
+        assert run.values["g"][k] != run.values["g"][k - 1]
+        assert link_score_step(model, run, k)[("s1", "g")] == 0.0
+        assert link_score_step(model, run, k)[("s0", "g")] != 0.0
+
+
+def reference_composite_weight(scores, mode):
+    if mode == "max":
+        best = 0.0
+        best_mag = 0.0
+        for s in scores:
+            if abs(s) > best_mag:
+                best_mag = abs(s)
+                best = s
+        return best
+    n = len(scores) - 1
+    mag = sum(abs(s) for s in scores[1:]) / n
+    if mag == 0.0:
+        return 0.0
+    pos = sum(1 for s in scores[1:] if s > 0)
+    neg = sum(1 for s in scores[1:] if s < 0)
+    return mag if pos >= neg else -mag
+
+
+_observations = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_observations, min_size=1, max_size=8), min_size=1, max_size=4))
+def test_composite_weights_match_reference(columns):
+    n = max(len(c) for c in columns)
+    edges = tuple((f"x{i}", "z") for i in range(len(columns)))
+    series = LinkScoreSeries(
+        edges,
+        tuple(float(t) for t in range(n + 1)),
+        {e: [0.0] + c + [0.0] * (n - len(c)) for e, c in zip(edges, columns)},
+    )
+    for mode in ("max", "avg"):
+        weights = sl.composite_scores(series, mode).weights
+        for e in edges:
+            assert repr(weights[e]) == repr(reference_composite_weight(series.series[e], mode))
