@@ -133,14 +133,17 @@ def rank_and_filter(
 ) -> list[LoopProfile]:
     """Profiles sorted by descending average contribution (ties broken by
     cycle for determinism), dropping loops below `threshold` and keeping
-    at most `top`."""
+    at most `top`.  A NaN average (a loop score that overflowed) ranks
+    first and is never dropped, so it reaches the output and is reported."""
     if not 0.0 <= threshold < 1.0:
         raise ValueError("threshold must be in [0, 1)")
     if top is not None and top < 1:
         raise ValueError("top must be >= 1")
     profiles = build_profiles(catalog, series)
-    profiles.sort(key=lambda p: (-p.avg_contribution, p.cycle))
-    kept = [p for p in profiles if p.avg_contribution >= threshold]
+    profiles.sort(
+        key=lambda p: (-math.inf if math.isnan(p.avg_contribution) else -p.avg_contribution, p.cycle)
+    )
+    kept = [p for p in profiles if not p.avg_contribution < threshold]
     return kept[:top] if top is not None else kept
 
 

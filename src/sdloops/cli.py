@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error (bad flags or unreadable input
-paths), 2 input diagnostics (parse/validate failures, malformed or
-non-UTF-8 input files), 3 runtime failure
+Exit codes: 0 success, 1 usage error (bad flags, unreadable input
+paths or unwritable output paths), 2 input diagnostics (parse/validate
+failures, malformed or non-UTF-8 input files), 3 runtime failure
 (aborted simulation, exhausted loop cap in forced exhaustive mode, a
 non-finite number in JSON output).
 All commands are deterministic for identical inputs and flags.
@@ -64,11 +64,20 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as err:
         problem = f"not UTF-8 text (byte {err.object[err.start]:#04x} at offset {err.start})"
         raise ModelError([Diagnostic(f"{path}: {problem}")]) from None
+    except OSError as err:
+        raise _UsageError(f"cannot read {path}: {err.strerror}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise _UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -202,9 +211,9 @@ def cmd_analyze(args) -> int:
     if _emit_json(lambda: indented_json(ranking), args.out) != EXIT_OK:
         return EXIT_RUNTIME
     if args.csv:
-        Path(args.csv).write_text(profiles_to_csv(profiles, run.times), encoding="utf-8")
+        _write_text(args.csv, profiles_to_csv(profiles, run.times))
     if args.links_csv:
-        Path(args.links_csv).write_text(series_to_csv(series), encoding="utf-8")
+        _write_text(args.links_csv, series_to_csv(series))
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._graphutil import strongly_connected_components
 
@@ -56,12 +57,6 @@ KEYWORDS = frozenset(
         "TIME", "INFLOW", "OUTFLOW",
     }
 )
-
-_NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TWO_CHAR_OPS = ("<=", ">=", "<>")
-_ONE_CHAR_OPS = set("+-*/()<>={},:")
-
 
 @dataclass(frozen=True)
 class Loc:
@@ -220,8 +215,25 @@ class Digraph:
 # --------------------------------------------------------------------------
 # Lexer
 
-@dataclass(frozen=True)
-class _Token:
+# One alternation, tried at each position in this order; its group names
+# are the token kinds ("space" and "comment" make no token).
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r]+)|(?P<comment>#)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<op><=|>=|<>|[-+*/()<>={},:])"
+)
+
+# Binary operators by precedence level, loosest first.  The parser and the
+# printer both read this table; IF binds looser than every level and unary
+# operators tighter.
+_LEVELS = {"OR": 1, "AND": 2, "<": 3, ">": 3, "<=": 3, ">=": 3, "=": 3, "<>": 3,
+           "+": 4, "-": 4, "*": 5, "/": 5}
+_CMP_LEVEL = _LEVELS["="]  # comparisons take one operator and do not chain
+_TOP_LEVEL = max(_LEVELS.values())
+_IF_LEVEL = 0
+_UNARY_LEVEL = _TOP_LEVEL + 1
+
+
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "kw" | "op" | "end"
     text: str
     value: float
@@ -237,39 +249,19 @@ class _LineError(Exception):
 def _tokenize_line(line: str, lineno: int) -> list[_Token]:
     toks: list[_Token] = []
     i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#":
+    while i < len(line):
+        m = _TOKEN_RE.match(line, i)
+        if m is None:
+            raise _LineError(Diagnostic(f"unexpected character {line[i]!r}", Loc(lineno, i + 1)))
+        kind, text = m.lastgroup, m.group()
+        if kind == "comment":
             break
-        loc = Loc(lineno, i + 1)
-        m = _IDENT_RE.match(line, i)
-        if m:
-            text = m.group()
-            if text.upper() in KEYWORDS:
-                toks.append(_Token("kw", text.upper(), 0.0, loc))
-            else:
-                toks.append(_Token("ident", text, 0.0, loc))
-            i = m.end()
-            continue
-        m = _NUM_RE.match(line, i)
-        if m:
-            toks.append(_Token("num", m.group(), float(m.group()), loc))
-            i = m.end()
-            continue
-        if line[i : i + 2] in _TWO_CHAR_OPS:
-            toks.append(_Token("op", line[i : i + 2], 0.0, loc))
-            i += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            toks.append(_Token("op", c, 0.0, loc))
-            i += 1
-            continue
-        raise _LineError(Diagnostic(f"unexpected character {c!r}", loc))
-    toks.append(_Token("end", "", 0.0, Loc(lineno, n + 1)))
+        if kind != "space":
+            if kind == "ident" and text.upper() in KEYWORDS:
+                kind, text = "kw", text.upper()
+            toks.append(_Token(kind, text, float(text) if kind == "num" else 0.0, Loc(lineno, i + 1)))
+        i = m.end()
+    toks.append(_Token("end", "", 0.0, Loc(lineno, len(line) + 1)))
     return toks
 
 
@@ -298,24 +290,12 @@ class _LineParser:
     def at_op(self, *ops: str) -> bool:
         return self.cur.kind == "op" and self.cur.text in ops
 
-    def expect_kw(self, name: str) -> _Token:
-        if not self.at_kw(name):
-            raise _LineError(Diagnostic(f"expected {name}, got {self._describe()}", self.cur.loc))
-        return self.take()
-
-    def expect_op(self, op: str) -> _Token:
-        if not self.at_op(op):
-            raise _LineError(Diagnostic(f"expected {op!r}, got {self._describe()}", self.cur.loc))
-        return self.take()
-
-    def expect_ident(self) -> _Token:
-        if self.cur.kind != "ident":
-            raise _LineError(Diagnostic(f"expected identifier, got {self._describe()}", self.cur.loc))
-        return self.take()
-
-    def expect_num(self) -> _Token:
-        if self.cur.kind != "num":
-            raise _LineError(Diagnostic(f"expected number, got {self._describe()}", self.cur.loc))
+    def expect(self, kind: str, text: str | None = None) -> _Token:
+        """Take the current token if it has `kind` (and `text`, if given)."""
+        tok = self.cur
+        if tok.kind != kind or text not in (None, tok.text):
+            wanted = {"ident": "identifier", "num": "number", "op": repr(text)}.get(kind, text)
+            raise _LineError(Diagnostic(f"expected {wanted}, got {self._describe()}", tok.loc))
         return self.take()
 
     def expect_end(self) -> None:
@@ -332,55 +312,32 @@ class _LineParser:
         if self.at_kw("IF"):
             loc = self.take().loc
             cond = self.expr()
-            self.expect_kw("THEN")
+            self.expect("kw", "THEN")
             then = self.expr()
-            self.expect_kw("ELSE")
+            self.expect("kw", "ELSE")
             orelse = self.expr()
             return If(cond, then, orelse, loc)
-        return self.or_expr()
+        return self.binary(1)
 
-    def or_expr(self):
-        node = self.and_expr()
-        while self.at_kw("OR"):
-            loc = self.take().loc
-            node = Bin("OR", node, self.and_expr(), loc)
-        return node
-
-    def and_expr(self):
-        node = self.cmp_expr()
-        while self.at_kw("AND"):
-            loc = self.take().loc
-            node = Bin("AND", node, self.cmp_expr(), loc)
-        return node
-
-    def cmp_expr(self):
-        node = self.add_expr()
-        if self.at_op("<", ">", "<=", ">=", "=", "<>"):
+    def binary(self, level: int):
+        """Left-associative operators of `level`, over operands of the next
+        level.  One frame per level, so bracket nesting costs as many frames
+        as the grammar has levels."""
+        node = self.binary(level + 1) if level < _TOP_LEVEL else self.unary_expr()
+        # an identifier's text is never a keyword, so only operator and
+        # keyword tokens can match here
+        while _LEVELS.get(self.cur.text) == level:
             tok = self.take()
-            node = Bin(tok.text, node, self.add_expr(), tok.loc)
-        return node
-
-    def add_expr(self):
-        node = self.mul_expr()
-        while self.at_op("+", "-"):
-            tok = self.take()
-            node = Bin(tok.text, node, self.mul_expr(), tok.loc)
-        return node
-
-    def mul_expr(self):
-        node = self.unary_expr()
-        while self.at_op("*", "/"):
-            tok = self.take()
-            node = Bin(tok.text, node, self.unary_expr(), tok.loc)
+            right = self.binary(level + 1) if level < _TOP_LEVEL else self.unary_expr()
+            node = Bin(tok.text, node, right, tok.loc)
+            if level == _CMP_LEVEL:
+                break
         return node
 
     def unary_expr(self):
-        if self.at_op("-"):
-            loc = self.take().loc
-            return Unary("-", self.unary_expr(), loc)
-        if self.at_kw("NOT"):
-            loc = self.take().loc
-            return Unary("NOT", self.unary_expr(), loc)
+        if self.at_op("-") or self.at_kw("NOT"):
+            tok = self.take()
+            return Unary(tok.text, self.unary_expr(), tok.loc)
         return self.primary()
 
     def primary(self):
@@ -396,27 +353,27 @@ class _LineParser:
             return Builtin(tok.text, tok.loc)
         if self.at_kw("MIN", "MAX", "ABS"):
             self.take()
-            self.expect_op("(")
+            self.expect("op", "(")
             args = [self.expr()]
             while self.at_op(","):
                 self.take()
                 args.append(self.expr())
-            self.expect_op(")")
+            self.expect("op", ")")
             if tok.text == "ABS" and len(args) != 1:
                 raise _LineError(Diagnostic("ABS takes exactly one argument", tok.loc))
             return Call(tok.text, tuple(args), tok.loc)
         if self.at_op("("):
             self.take()
             node = self.expr()
-            self.expect_op(")")
+            self.expect("op", ")")
             return node
         raise _LineError(Diagnostic(f"expected expression, got {self._describe()}", tok.loc))
 
     def idlist(self) -> list[str]:
-        names = [self.expect_ident().text]
+        names = [self.expect("ident").text]
         while self.at_op(","):
             self.take()
-            names.append(self.expect_ident().text)
+            names.append(self.expect("ident").text)
         return names
 
 
@@ -424,36 +381,32 @@ def _parse_statement(p: _LineParser) -> tuple[str, object]:
     tok = p.cur
     if p.at_kw("SPEC"):
         p.take()
-        p.expect_kw("START")
-        p.expect_op("=")
-        start = p.expect_num().value
-        p.expect_kw("STOP")
-        p.expect_op("=")
-        stop = p.expect_num().value
-        p.expect_kw("DT")
-        p.expect_op("=")
-        dt = p.expect_num().value
+        bounds = []
+        for name in ("START", "STOP", "DT"):
+            p.expect("kw", name)
+            p.expect("op", "=")
+            bounds.append(p.expect("num").value)
         p.expect_end()
-        return "spec", (RunSpec(start, stop, dt), tok.loc)
+        return "spec", (RunSpec(*bounds), tok.loc)
     if p.at_kw("CONST", "AUX", "FLOW", "STOCK"):
         kind = p.take().text.lower()
-        name = p.expect_ident()
+        name = p.expect("ident")
         p.declared = Variable(name.text, kind, Num(0.0), loc=name.loc)
-        p.expect_op("=")
+        p.expect("op", "=")
         expr = p.expr()
         inflows: list[str] = []
         outflows: list[str] = []
         if kind == "stock":
-            p.expect_op("{")
+            p.expect("op", "{")
             if p.at_kw("INFLOW"):
                 p.take()
-                p.expect_op(":")
+                p.expect("op", ":")
                 inflows = p.idlist()
             if p.at_kw("OUTFLOW"):
                 p.take()
-                p.expect_op(":")
+                p.expect("op", ":")
                 outflows = p.idlist()
-            p.expect_op("}")
+            p.expect("op", "}")
         p.expect_end()
         return "var", Variable(name.text, kind, expr, tuple(inflows), tuple(outflows), loc=name.loc)
     raise _LineError(
@@ -652,12 +605,6 @@ def dependency_graph(model: Model) -> Digraph:
 # --------------------------------------------------------------------------
 # Printing (round-trips: parse_model(print_model(m)) == m)
 
-_IF_LEVEL = 0
-_LEVELS = {"OR": 1, "AND": 2, "<": 3, ">": 3, "<=": 3, ">=": 3, "=": 3, "<>": 3,
-           "+": 4, "-": 4, "*": 5, "/": 5}
-_UNARY_LEVEL = 6
-
-
 def format_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -685,7 +632,7 @@ def _fmt(node, parent_level: int) -> str:
         level = _LEVELS[node.op]
         # comparisons are non-associative in the grammar, so a comparison
         # child needs parentheses on either side
-        left_level = level + 1 if level == 3 else level
+        left_level = level + 1 if level == _CMP_LEVEL else level
         left = _fmt(node.left, left_level)
         right = _fmt(node.right, level + 1)
         return _wrap(f"{left} {node.op} {right}", level, parent_level)

@@ -9,14 +9,16 @@ change of z:
 
     s = |dxz / dz| * sign(dxz * dx)
 
-with s = 0 whenever dz = 0, dx = 0, or x does not occur in the gated
-equation.  For a flow f attached to stock S the score is the flow's share
-of the stock's change over [t_{k-1}, t_k], signed by the attachment:
+with s = 0 whenever dz = 0, dx = 0, x does not occur in the gated
+equation, or the gated equation cannot be evaluated at the mixed point.
+For a flow f attached to stock S the score is the flow's share of the
+stock's change over [t_{k-1}, t_k], signed by the attachment:
 
     s = |f(t_{k-1}) * dt / dS| * (+1 inflow, -1 outflow)
 
-Scores at t_0 are 0 by convention: nothing has changed yet.  Every case
-is guarded, so scoring is total and always finite.
+Scores at t_0 are 0 by convention: nothing has changed yet.  A score
+that is not finite (the quotient overflowed) is 0 as well, so scoring is
+total and always finite.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = 
             inflows = prep.inflows[dst]
             for flow in srcs:
                 sign = 1.0 if flow in inflows else -1.0
-                scores[(flow, dst)] = abs(sign * values[flow][k - 1] * dt / dz) * sign
+                score = abs(sign * values[flow][k - 1] * dt / dz) * sign
+                scores[(flow, dst)] = score if math.isfinite(score) else 0.0
             continue
         branches = run.branches_at(dst, k - 1)
         for src in srcs:
@@ -125,7 +128,8 @@ def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = 
                 dxz = math.nan
             finally:
                 env_old[src] = x[k - 1]
-            scores[(src, dst)] = abs(dxz / dz) * _sign(dxz * dx) if math.isfinite(dxz) else 0.0
+            score = abs(dxz / dz) * _sign(dxz * dx)
+            scores[(src, dst)] = score if math.isfinite(score) else 0.0
     return scores
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -276,6 +278,22 @@ class TestRankAndFilter:
             profiles = sl.build_profiles(catalog, series)
             assert all(p.avg_contribution <= 1.0 + 1e-12 for p in profiles)
             assert sum(p.avg_contribution for p in profiles) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("order", [[("a", "b"), ("c", "d")], [("c", "d"), ("a", "b")]])
+    def test_overflowing_loop_ranks_first_and_is_kept(self, order):
+        # (a, b)'s finite scores multiply to inf, so its share is inf / inf
+        series = LinkScoreSeries(
+            edges=(("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")),
+            times=(0.0, 1.0),
+            series={("a", "b"): [0.0, 1e300], ("b", "a"): [0.0, 1e300], ("c", "d"): [0.0, 0.5], ("d", "c"): [0.0, 0.5]},
+        )
+        catalog = LoopCatalog()
+        for cycle in order:
+            catalog.add(cycle, 1.0, "static")
+        for limits in ({}, {"threshold": 0.5}, {"top": 1}):
+            profiles = sl.rank_and_filter(catalog, series, **limits)
+            assert profiles[0].cycle == ("a", "b")
+            assert math.isnan(profiles[0].avg_contribution)
 
     def test_bad_args(self, two_stock_catalog, two_stock_series):
         with pytest.raises(ValueError):

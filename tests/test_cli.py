@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sdloops as sl
 from sdloops.cli import main
@@ -170,6 +174,81 @@ class TestAnalyze:
         assert main(["analyze", twostock_path, "--top", "0"]) == 1
 
 
+class TestScoreOverflow:
+    """A link score that overflows is 0; a loop score that overflows ends
+    the run with exit 3, whatever --threshold and --top ask for."""
+
+    def test_overflowing_link_score_is_zero(self, tmp_path, capsys):
+        # at step 1, s moves z by 1e300 * 0.1 while z itself moves by 1e-15
+        model = tmp_path / "m.sdm"
+        model.write_text(
+            "SPEC START = 0 STOP = 3 DT = 1\n"
+            "STOCK s = 4.9 { inflow: f }\n"
+            "FLOW f = 0.2 * z\n"
+            "AUX z = IF s > 5 THEN 1.000000000000001 ELSE 1e300 * (s - 4.9) + 1\n",
+            encoding="utf-8",
+        )
+        links = tmp_path / "links.csv"
+        assert main(["analyze", str(model), "--links-csv", str(links)]) == 0
+        json.loads(capsys.readouterr().out)
+        rows = [line.split(",") for line in links.read_text(encoding="utf-8").splitlines()[1:]]
+        assert all(math.isfinite(float(score)) for *_, score in rows)
+        assert ["1", "s", "z", "0.0"] in rows
+
+    @pytest.mark.parametrize("flags", [[], ["--top", "1"], ["--threshold", "0.5"]])
+    def test_overflowing_loop_score_is_a_runtime_failure(self, flags, tmp_path, capsys):
+        # every link score is finite (1.4e294 and 1.3e281 at step 1), their
+        # product is not; the loop s -> g -> s stays finite
+        model = tmp_path / "m.sdm"
+        model.write_text(
+            "SPEC START = 0 STOP = 3 DT = 1\n"
+            "STOCK s = 4.9 { inflow: f outflow: g }\n"
+            "FLOW f = IF z > 1.0000000000000004 THEN 0.2000000000000001 ELSE 1e280 * (z - 1) + 0.2\n"
+            "FLOW g = 0.01 * s\n"
+            "AUX z = IF s > 5 THEN 1.000000000000001 ELSE 1e280 * (s - 4.9) + 1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "ranking.json"
+        assert main(["analyze", str(model), "--out", str(out), *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        assert captured.err.startswith("error: non-finite number in JSON output")
+        assert len(captured.err.splitlines()) == 1
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error: exit 1 and
+    one stderr line naming the path."""
+
+    @pytest.mark.parametrize(
+        "command, target",
+        [
+            (["analyze", "{model}", "--out", "{target}"], "missing/x.json"),
+            (["analyze", "{model}", "--out", "{tmp}/r.json", "--csv", "{target}"], "."),
+            (["analyze", "{model}", "--out", "{tmp}/r.json", "--links-csv", "{target}"], "."),
+            (["simulate", "{model}", "--out", "{target}"], "missing/run.csv"),
+            (["gen", "--stocks", "3", "--out", "{target}"], "missing/m.sdm"),
+        ],
+    )
+    def test_usage_error(self, command, target, twostock_path, tmp_path, capsys):
+        target = str(tmp_path / target)
+        argv = [arg.format(model=twostock_path, tmp=tmp_path, target=target) for arg in command]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_unreadable_input_is_a_usage_error(self, twostock_path, monkeypatch, capsys):
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert main(["simulate", twostock_path]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {twostock_path}: Permission denied\n"
+
+
 class TestGraphLoops:
     def test_exhaustive(self, greedy_miss_path, capsys):
         assert main(["graph-loops", greedy_miss_path, "--method", "exhaustive"]) == 0
@@ -236,6 +315,36 @@ class TestGraphLoops:
         assert captured.out == ""
         assert not out.exists()
         assert "non-finite number in JSON output" in captured.err
+
+
+_nodes = st.sampled_from(["a", "b", "c", "d"])
+_edge_lists = st.lists(
+    st.tuples(_nodes, _nodes, st.sampled_from(["1", "-0.5", "2", "3.25", "-4", "1e-3"])),
+    max_size=10,
+    unique_by=lambda row: row[:2],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_lists, st.tuples(st.sampled_from(["a", "b", "c", "d", "e"]), st.sampled_from(["a", "b", "e", "f"])),
+       st.sampled_from(["0", "0.0", "-0", "0e5"]))
+def test_zero_weight_edge_changes_no_catalog(rows, extra, zero):
+    """Metamorphic check: appending an edge of weight 0 (between known
+    nodes, to a new node or a self-loop) leaves graph-loops output
+    unchanged, byte for byte, for both methods."""
+    assume(extra not in {row[:2] for row in rows})
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, "edges.csv"), Path(tmp, "with_zero.csv")]
+        text = "src,dst,weight\n" + "".join(f"{s},{d},{w}\n" for s, d, w in rows)
+        paths[0].write_text(text, encoding="utf-8")
+        paths[1].write_text(text + f"{extra[0]},{extra[1]},{zero}\n", encoding="utf-8")
+        for method in ("exhaustive", "strongest-path"):
+            outputs = []
+            for path in paths:
+                out = Path(tmp, "loops.json")
+                assert main(["graph-loops", str(path), "--method", method, "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
 
 
 class TestGen:

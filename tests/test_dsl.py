@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import re
+from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sdloops as sl
-from sdloops.dsl import Bin, Builtin, Call, If, Num, Ref, Unary, format_expr, expr_refs
+from sdloops import dsl, engine
+from sdloops.dsl import (
+    Bin, Builtin, Call, Diagnostic, If, Loc, Num, Ref, RunSpec, Unary, Variable, format_expr, expr_refs,
+)
 
 
 def diagnostics_of(text):
@@ -250,3 +255,355 @@ def test_expr_refs_finds_every_reference(expr):
     printed = format_expr(expr)
     for name in ("x", "y", "z_2"):
         assert (name in refs) == bool(re.search(rf"\b{name}\b", printed))
+
+
+# --------------------------------------------------------------------------
+# Reference front end: the lexer and parser as they were before the operator
+# table, a hand-stepped scanning loop over four character constants and one
+# grammar method per precedence level.  The table-driven lexer and parser
+# must agree with them on every line: tokens, trees, every `loc`,
+# diagnostics and the stand-in declaration of a line that fails.
+
+_REF_NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_TWO_CHAR_OPS = ("<=", ">=", "<>")
+_REF_ONE_CHAR_OPS = set("+-*/()<>={},:")
+
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str  # "num" | "ident" | "kw" | "op" | "end"
+    text: str
+    value: float
+    loc: Loc
+
+
+def reference_tokenize_line(line: str, lineno: int) -> list[RefToken]:
+    toks: list[RefToken] = []
+    i = 0
+    n = len(line)
+    while i < n:
+        c = line[i]
+        if c in " \t\r":
+            i += 1
+            continue
+        if c == "#":
+            break
+        loc = Loc(lineno, i + 1)
+        m = _REF_IDENT_RE.match(line, i)
+        if m:
+            text = m.group()
+            if text.upper() in dsl.KEYWORDS:
+                toks.append(RefToken("kw", text.upper(), 0.0, loc))
+            else:
+                toks.append(RefToken("ident", text, 0.0, loc))
+            i = m.end()
+            continue
+        m = _REF_NUM_RE.match(line, i)
+        if m:
+            toks.append(RefToken("num", m.group(), float(m.group()), loc))
+            i = m.end()
+            continue
+        if line[i : i + 2] in _REF_TWO_CHAR_OPS:
+            toks.append(RefToken("op", line[i : i + 2], 0.0, loc))
+            i += 2
+            continue
+        if c in _REF_ONE_CHAR_OPS:
+            toks.append(RefToken("op", c, 0.0, loc))
+            i += 1
+            continue
+        raise dsl._LineError(Diagnostic(f"unexpected character {c!r}", loc))
+    toks.append(RefToken("end", "", 0.0, Loc(lineno, n + 1)))
+    return toks
+
+
+# --------------------------------------------------------------------------
+# Parser
+
+class ReferenceLineParser:
+    def __init__(self, tokens: list[RefToken]):
+        self.tokens = tokens
+        self.pos = 0
+        self.declared: Variable | None = None  # set once a declaration's keyword and name are read
+
+    @property
+    def cur(self) -> RefToken:
+        return self.tokens[self.pos]
+
+    def take(self) -> RefToken:
+        tok = self.cur
+        if tok.kind != "end":
+            self.pos += 1
+        return tok
+
+    def at_kw(self, *names: str) -> bool:
+        return self.cur.kind == "kw" and self.cur.text in names
+
+    def at_op(self, *ops: str) -> bool:
+        return self.cur.kind == "op" and self.cur.text in ops
+
+    def expect_kw(self, name: str) -> RefToken:
+        if not self.at_kw(name):
+            raise dsl._LineError(Diagnostic(f"expected {name}, got {self._describe()}", self.cur.loc))
+        return self.take()
+
+    def expect_op(self, op: str) -> RefToken:
+        if not self.at_op(op):
+            raise dsl._LineError(Diagnostic(f"expected {op!r}, got {self._describe()}", self.cur.loc))
+        return self.take()
+
+    def expect_ident(self) -> RefToken:
+        if self.cur.kind != "ident":
+            raise dsl._LineError(Diagnostic(f"expected identifier, got {self._describe()}", self.cur.loc))
+        return self.take()
+
+    def expect_num(self) -> RefToken:
+        if self.cur.kind != "num":
+            raise dsl._LineError(Diagnostic(f"expected number, got {self._describe()}", self.cur.loc))
+        return self.take()
+
+    def expect_end(self) -> None:
+        if self.cur.kind != "end":
+            raise dsl._LineError(Diagnostic(f"unexpected trailing {self._describe()}", self.cur.loc))
+
+    def _describe(self) -> str:
+        tok = self.cur
+        return "end of line" if tok.kind == "end" else f"{tok.text!r}"
+
+    # expression grammar, lowest precedence first
+
+    def expr(self):
+        if self.at_kw("IF"):
+            loc = self.take().loc
+            cond = self.expr()
+            self.expect_kw("THEN")
+            then = self.expr()
+            self.expect_kw("ELSE")
+            orelse = self.expr()
+            return If(cond, then, orelse, loc)
+        return self.or_expr()
+
+    def or_expr(self):
+        node = self.and_expr()
+        while self.at_kw("OR"):
+            loc = self.take().loc
+            node = Bin("OR", node, self.and_expr(), loc)
+        return node
+
+    def and_expr(self):
+        node = self.cmp_expr()
+        while self.at_kw("AND"):
+            loc = self.take().loc
+            node = Bin("AND", node, self.cmp_expr(), loc)
+        return node
+
+    def cmp_expr(self):
+        node = self.add_expr()
+        if self.at_op("<", ">", "<=", ">=", "=", "<>"):
+            tok = self.take()
+            node = Bin(tok.text, node, self.add_expr(), tok.loc)
+        return node
+
+    def add_expr(self):
+        node = self.mul_expr()
+        while self.at_op("+", "-"):
+            tok = self.take()
+            node = Bin(tok.text, node, self.mul_expr(), tok.loc)
+        return node
+
+    def mul_expr(self):
+        node = self.unary_expr()
+        while self.at_op("*", "/"):
+            tok = self.take()
+            node = Bin(tok.text, node, self.unary_expr(), tok.loc)
+        return node
+
+    def unary_expr(self):
+        if self.at_op("-"):
+            loc = self.take().loc
+            return Unary("-", self.unary_expr(), loc)
+        if self.at_kw("NOT"):
+            loc = self.take().loc
+            return Unary("NOT", self.unary_expr(), loc)
+        return self.primary()
+
+    def primary(self):
+        tok = self.cur
+        if tok.kind == "num":
+            self.take()
+            return Num(tok.value, tok.loc)
+        if tok.kind == "ident":
+            self.take()
+            return Ref(tok.text, tok.loc)
+        if self.at_kw("DT", "TIME"):
+            self.take()
+            return Builtin(tok.text, tok.loc)
+        if self.at_kw("MIN", "MAX", "ABS"):
+            self.take()
+            self.expect_op("(")
+            args = [self.expr()]
+            while self.at_op(","):
+                self.take()
+                args.append(self.expr())
+            self.expect_op(")")
+            if tok.text == "ABS" and len(args) != 1:
+                raise dsl._LineError(Diagnostic("ABS takes exactly one argument", tok.loc))
+            return Call(tok.text, tuple(args), tok.loc)
+        if self.at_op("("):
+            self.take()
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise dsl._LineError(Diagnostic(f"expected expression, got {self._describe()}", tok.loc))
+
+    def idlist(self) -> list[str]:
+        names = [self.expect_ident().text]
+        while self.at_op(","):
+            self.take()
+            names.append(self.expect_ident().text)
+        return names
+
+
+def reference_parse_statement(p: ReferenceLineParser) -> tuple[str, object]:
+    tok = p.cur
+    if p.at_kw("SPEC"):
+        p.take()
+        p.expect_kw("START")
+        p.expect_op("=")
+        start = p.expect_num().value
+        p.expect_kw("STOP")
+        p.expect_op("=")
+        stop = p.expect_num().value
+        p.expect_kw("DT")
+        p.expect_op("=")
+        dt = p.expect_num().value
+        p.expect_end()
+        return "spec", (RunSpec(start, stop, dt), tok.loc)
+    if p.at_kw("CONST", "AUX", "FLOW", "STOCK"):
+        kind = p.take().text.lower()
+        name = p.expect_ident()
+        p.declared = Variable(name.text, kind, Num(0.0), loc=name.loc)
+        p.expect_op("=")
+        expr = p.expr()
+        inflows: list[str] = []
+        outflows: list[str] = []
+        if kind == "stock":
+            p.expect_op("{")
+            if p.at_kw("INFLOW"):
+                p.take()
+                p.expect_op(":")
+                inflows = p.idlist()
+            if p.at_kw("OUTFLOW"):
+                p.take()
+                p.expect_op(":")
+                outflows = p.idlist()
+            p.expect_op("}")
+        p.expect_end()
+        return "var", Variable(name.text, kind, expr, tuple(inflows), tuple(outflows), loc=name.loc)
+    raise dsl._LineError(
+        Diagnostic(f"expected SPEC, CONST, AUX, FLOW or STOCK, got {p._describe()}", tok.loc)
+    )
+
+
+def _explicit(obj):
+    """`obj` as nested tuples of type names and field values, with every
+    `loc` (which node equality ignores) and floats by repr."""
+    if isinstance(obj, float):
+        return repr(obj)
+    if isinstance(obj, (tuple, list)):
+        return tuple(_explicit(x) for x in obj)
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__, *(_explicit(getattr(obj, f.name)) for f in dataclasses.fields(obj)))
+    return obj
+
+
+def _line_outcome(tokenize, parser_cls, parse_statement, line):
+    """What parse_model keeps of one line, as parse_model handles it."""
+    out = []
+    parser = None
+    try:
+        tokens = tokenize(line, 3)
+        out.append([(t.kind, t.text, repr(t.value), t.loc) for t in tokens])
+        if tokens[0].kind != "end":
+            parser = parser_cls(tokens)
+            out.append(_explicit(parse_statement(parser)))
+    except dsl._LineError as err:
+        out.append(_explicit(err.diagnostic))
+    except RecursionError:
+        out.append("nested too deeply")
+    if parser is not None:
+        out.append(_explicit(parser.declared))
+    return out
+
+
+_REFERENCE = (reference_tokenize_line, ReferenceLineParser, reference_parse_statement)
+_CURRENT = (dsl._tokenize_line, dsl._LineParser, dsl._parse_statement)
+
+
+def _any_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda lower: "".join(c.lower() if low else c for c, low in zip(word, lower))
+    )
+
+
+_fragments = st.one_of(
+    st.sampled_from(sorted(dsl.KEYWORDS)).flatmap(_any_case),
+    st.sampled_from(
+        ["x", "s_1", "Flow_2", "IFx", "e5", "0", "12", "3.5", "2e3", "1E-2", "1e+2", "1e999", "3.", ".5", "1e",
+         "(", ")", "{", "}", ",", ":", "=", "+", "-", "*", "/", "<", ">", "<=", ">=", "<>", "=<", "><", "=="]
+    ),
+    st.text(alphabet="\t #.%\u0663$x1(\u00e9\u00b2\x0b", max_size=3),
+    expr_trees.map(format_expr),
+)
+_line_heads = st.sampled_from(
+    ["", "SPEC START = 0 STOP = 1 DT = 1", "spec Start =", "AUX a = ", "flow f =", "Stock s = 1 {",
+     "CONST c = ", "STOCK s = 0 { inflow: f, g outflow: h }", "STOCK s = 0 { outflow: h, "]
+)
+_lines = st.builds(
+    lambda head, parts: head + "".join(sep + part for sep, part in parts),
+    _line_heads,
+    st.lists(st.tuples(st.sampled_from(["", " ", "  ", "\t", "\r"]), _fragments), max_size=10),
+)
+
+
+@settings(max_examples=400)
+@given(_lines)
+@example("AUX a = 1 < 2 < 3")
+@example("AUX a = NOT - not x Or y aNd z >= 1 + 2 * 3 / -4 - 5")
+@example("SPEC START = \u0663 STOP = 1e999 DT = 0.5 # comment")
+@example("STOCK s = 1 { inflow: f outflow: }")
+@example("FLOW f = s +")
+@example("AUX a = 1 $")
+@example("AUX a = MAX(1, 2,) ")
+@example("AUX a = IF x THEN 1")
+@example("CONST 1 = 2")
+def test_front_end_matches_reference(line):
+    assert _line_outcome(*_CURRENT, line) == _line_outcome(*_REFERENCE, line)
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [lambda k: "(" * k + "s" + ")" * k, lambda k: "s - (" * k + "s" + ")" * k, lambda k: "-" * k + "s"],
+    ids=["brackets", "right operands", "unary minus"],
+)
+def test_nesting_limit_matches_reference(nest):
+    def too_deep(tokenize, parser_cls, parse_statement, k):
+        parser = parser_cls(tokenize(f"AUX a = {nest(k)}", 3))
+        try:
+            parse_statement(parser)
+        except RecursionError:
+            return True
+        return False
+
+    ok, deep = 1, 2
+    while not too_deep(*_REFERENCE, deep):
+        ok, deep = deep, deep * 2
+    while deep - ok > 1:  # the reference parses `ok` levels and fails at `deep`
+        mid = (ok + deep) // 2
+        ok, deep = (ok, mid) if too_deep(*_REFERENCE, mid) else (mid, deep)
+    assert not too_deep(*_CURRENT, ok)
+    assert too_deep(*_CURRENT, deep)
+
+
+def test_parser_printer_and_compiler_share_one_operator_set():
+    assert set(engine._BINARY_OPS) == set(dsl._LEVELS)

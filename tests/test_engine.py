@@ -402,3 +402,71 @@ def test_declaration_order_changes_nothing(lines, data):
             )
         )
     assert observed[0] == observed[1]
+
+
+def _renamed(node, names: dict[str, str]):
+    """An expression tree with every reference renamed through `names`."""
+    if isinstance(node, Ref):
+        return Ref(names[node.name])
+    if isinstance(node, Unary):
+        return Unary(node.op, _renamed(node.operand, names))
+    if isinstance(node, Bin):
+        return Bin(node.op, _renamed(node.left, names), _renamed(node.right, names))
+    if isinstance(node, If):
+        return If(_renamed(node.cond, names), _renamed(node.then, names), _renamed(node.orelse, names))
+    if isinstance(node, Call):
+        return Call(node.fn, tuple(_renamed(arg, names) for arg in node.args))
+    return node
+
+
+# fresh identifiers: mixed case, and keywords in any case with a suffix
+# (IFx, and_1, Dt_2), which the lexer must read as identifiers
+_keyword_like = st.builds(
+    lambda word, lower, suffix: "".join(c.lower() if low else c for c, low in zip(word, lower)) + suffix,
+    st.sampled_from(sorted(sl.dsl.KEYWORDS)),
+    st.lists(st.booleans(), min_size=7, max_size=7),
+    st.sampled_from(["x", "X", "_1", "_2", "0", "_"]),
+)
+_fresh_names = st.one_of(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True), _keyword_like).filter(
+    lambda name: name.upper() not in sl.dsl.KEYWORDS
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from([sl.TWO_STOCK.source, sl.ARMS_RACE.source]), _declarations().map("\n".join)),
+    st.data(),
+)
+def test_renaming_changes_nothing_but_names(text, data):
+    """Metamorphic check: renaming every variable, through printed text,
+    leaves values, link scores and the exhaustive catalog unchanged up to
+    the renaming."""
+    model = sl.parse_model(text)
+    fresh = data.draw(st.lists(_fresh_names, min_size=len(model.variables), max_size=len(model.variables), unique=True))
+    names = dict(zip(model.names(), fresh))
+    renamed = sl.Model(
+        tuple(
+            sl.Variable(
+                names[v.name], v.kind, _renamed(v.expr, names),
+                tuple(names[f] for f in v.inflows), tuple(names[f] for f in v.outflows),
+            )
+            for v in model.variables
+        ),
+        model.run_spec,
+    )
+    observed = []
+    for m in (model, sl.parse_model(sl.print_model(renamed))):
+        assert sl.validate(m) == []
+        run = sl.simulate(m)
+        series = sl.score_all(m, run)
+        catalog = sl.discover(m, series, cap=10_000, method="exhaustive")
+        assert not catalog.overflow
+        observed.append((run, series, catalog))
+    (run, series, catalog), (run2, series2, catalog2) = observed
+    assert {names[v]: repr(values) for v, values in run.values.items()} == {
+        v: repr(values) for v, values in run2.values.items()
+    }
+    assert {(names[s], names[d]): repr(scores) for (s, d), scores in series.series.items()} == {
+        edge: repr(scores) for edge, scores in series2.series.items()
+    }
+    assert {sl.canonical_form(names[v] for v in cycle) for cycle in catalog.cycles()} == catalog2.cycles()

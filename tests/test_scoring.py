@@ -323,7 +323,8 @@ def reference_link_score_step(model, run, k):
             contribution = sign * values[flow][k - 1] * dt
             s = abs(contribution / ds) * sign
         scores[(flow, stock)] = s
-    return scores
+    # a score that overflowed, in either formula, is 0
+    return {edge: s if math.isfinite(s) else 0.0 for edge, s in scores.items()}
 
 
 @st.composite
@@ -394,12 +395,29 @@ FLOW move = MIN(a0, s0)
 STOCK s0 = 8 { outflow: move }
 STOCK s1 = 0 { inflow: move }
 """
+# a and b cancel, so the flow-share quotients of a and b overflow
+_CANCELLING_INFLOWS = """\
+SPEC START = 0 STOP = 2 DT = 1
+FLOW a = 1e300
+FLOW b = -1e300
+FLOW c = 1e-300
+STOCK s = 0 { inflow: a, b, c }
+"""
+# s moves z by 1e300 * 0.1 at the mixed point while z moves by 1e-15
+_STEEP_GATE = """\
+SPEC START = 0 STOP = 3 DT = 1
+STOCK s = 4.9 { inflow: f }
+FLOW f = 0.2 * z
+AUX z = IF s > 5 THEN 1.000000000000001 ELSE 1e300 * (s - 4.9) + 1
+"""
 
 
 @settings(max_examples=150, deadline=None)
 @given(_small_models())
 @example(_DIVIDES_AT_MIXED_POINT)
 @example(_TRANSFER)
+@example(_CANCELLING_INFLOWS)
+@example(_STEEP_GATE)
 def test_link_score_step_matches_two_loop_reference(text):
     model = sl.parse_model(text)
     assert sl.validate(model) == []
@@ -414,6 +432,16 @@ def test_link_score_step_matches_two_loop_reference(text):
         assert list(got) == list(series.edges)
         assert {e: repr(s) for e, s in got.items()} == {e: repr(s) for e, s in want.items()}
         assert all(repr(series.series[e][k]) == repr(s) for e, s in got.items())
+
+
+@pytest.mark.parametrize(
+    "text, edge", [(_CANCELLING_INFLOWS, ("a", "s")), (_CANCELLING_INFLOWS, ("b", "s")), (_STEEP_GATE, ("s", "z"))]
+)
+def test_overflowing_score_is_zero(text, edge):
+    model = sl.parse_model(text)
+    series = sl.score_all(model, sl.simulate(model))
+    assert all(math.isfinite(s) for scores in series.series.values() for s in scores)
+    assert series.series[edge][1] == 0.0
 
 
 def test_mixed_point_division_by_zero_scores_zero():
