@@ -12,7 +12,7 @@ that note in their metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .discovery import Cycle, LoopCatalog, LoopRecord, canonical_form
 from .dsl import format_number
@@ -61,13 +61,7 @@ class CompletenessReport:
     near_misses: list[dict]  # {"reference_cycle": [...], "candidate_cycle": [...], "overlap": float}
 
     def to_json_dict(self) -> dict:
-        return {
-            "reference_size": self.reference_size,
-            "candidate_size": self.candidate_size,
-            "intersection_size": self.intersection_size,
-            "top_loops": self.top_loops,
-            "near_misses": self.near_misses,
-        }
+        return asdict(self)
 
 
 def loop_id(cycle: Cycle) -> str:
@@ -151,11 +145,9 @@ def _cyclic_overlap_ratio(a: Cycle, b: Cycle) -> float:
     """Longest common contiguous segment of two cycles (rotation
     invariant), as a fraction of the longer cycle's length.
 
-    Neither cycle repeats a node, so a common segment is a run of
-    consecutive nodes of a + a whose positions in b go up by 1 modulo
-    len(b)."""
-    if not a or not b:
-        return 0.0
+    Neither cycle is empty or repeats a node, so a common segment is a
+    run of consecutive nodes of a + a whose positions in b go up by 1
+    modulo len(b)."""
     where = {node: i for i, node in enumerate(b)}
     best = run = 0
     prev = -1
@@ -181,52 +173,29 @@ def compare_catalogs(
 ) -> CompletenessReport:
     """How much of the reference catalog the candidate found.
 
-    With a score series, loops rank by average contribution; static
-    catalogs rank by discovery-score magnitude.  For each top-N reference
-    loop missing from the candidate, the closest candidate loop by
-    longest-common-segment overlap is reported as a near miss when the
-    ratio clears `near_miss_ratio`.
+    With a score series, loops rank as in `rank_and_filter`; static
+    catalogs rank by discovery-score magnitude, ties by cycle.  For each
+    top-N reference loop missing from the candidate, the first candidate
+    loop in cycle order with the largest longest-common-segment overlap
+    is a near miss if that overlap is above 0 and clears `near_miss_ratio`.
     """
-    ref_records = reference.loops()
     if series is not None:
-        values = [p.avg_contribution for p in build_profiles(reference, series)]
+        top = [p.record for p in rank_and_filter(reference, series)[:top_n]]
     else:
-        values = [abs(rec.discovery_score) for rec in ref_records]
-    ranked = sorted(zip(values, ref_records), key=lambda pair: (-pair[0], pair[1].cycle))
-
+        top = sorted(reference.loops(), key=lambda rec: (-abs(rec.discovery_score), rec.cycle))[:top_n]
     candidate_cycles = candidate.cycles()
     candidates_in_order = sorted(candidate_cycles)
-    intersection = reference.cycles() & candidate_cycles
-
-    top_loops = []
+    top_loops = [{"cycle": list(rec.cycle), "present": rec.cycle in candidate_cycles} for rec in top]
     near_misses = []
-    for _, rec in ranked[:top_n]:
-        present = rec.cycle in candidate_cycles
-        top_loops.append({"cycle": list(rec.cycle), "present": present})
-        if present or not candidate_cycles:
+    for rec in top:
+        if rec.cycle in candidate_cycles or not candidates_in_order:
             continue
-        best_cycle = None
-        best_ratio = 0.0
-        for cand in candidates_in_order:
-            ratio = _cyclic_overlap_ratio(rec.cycle, cand)
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_cycle = cand
-        if best_cycle is not None and best_ratio >= near_miss_ratio:
-            near_misses.append(
-                {
-                    "reference_cycle": list(rec.cycle),
-                    "candidate_cycle": list(best_cycle),
-                    "overlap": best_ratio,
-                }
-            )
-    return CompletenessReport(
-        reference_size=len(reference),
-        candidate_size=len(candidate),
-        intersection_size=len(intersection),
-        top_loops=top_loops,
-        near_misses=near_misses,
-    )
+        best = max(candidates_in_order, key=lambda cand: _cyclic_overlap_ratio(rec.cycle, cand))
+        ratio = _cyclic_overlap_ratio(rec.cycle, best)
+        if ratio > 0.0 and ratio >= near_miss_ratio:
+            near_misses.append({"reference_cycle": list(rec.cycle), "candidate_cycle": list(best), "overlap": ratio})
+    intersection = reference.cycles() & candidate_cycles
+    return CompletenessReport(len(reference), len(candidate), len(intersection), top_loops, near_misses)
 
 
 def profiles_to_csv(profiles: list[LoopProfile], times: tuple[float, ...]) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json  # noqa: F401  (unused here; bench/tracing.py rebinds sdloops.cli.json to time json.dumps)
 import math
+import os
 import sys
 from json import JSONDecodeError
 from pathlib import Path
@@ -156,15 +157,8 @@ def _load_catalog(path: str) -> LoopCatalog:
         problem = f"not valid JSON ({err})"
     except RecursionError:
         problem = "JSON nested too deeply"
-    except AttributeError:
-        # from_json_dict reads the top level with dict.get
-        problem = "the top level is not a JSON object"
-    except KeyError as err:
-        problem = f"a loop is missing the field {err}"
     except MalformedCycleError as err:
         problem = str(err)
-    except (TypeError, ValueError) as err:
-        problem = f"malformed loop entry ({err})"
     raise ModelError([Diagnostic(f"{path}: {problem}")])
 
 
@@ -187,6 +181,14 @@ def cmd_analyze(args) -> int:
         raise _UsageError("--threshold must be in [0, 1)")
     if args.top < 1:
         raise _UsageError("--top must be >= 1")
+    for path in filter(None, (args.out, args.csv, args.links_csv)):  # check all before writing any
+        existed = os.path.lexists(path)
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
+        except OSError as err:
+            raise _UsageError(f"cannot write {path}: {err.strerror}") from None
+        if not existed:
+            os.remove(path)
 
     model = _load_model(args.model)
     run = simulate(model, _run_spec(model, args))
@@ -256,11 +258,9 @@ def cmd_compare(args) -> int:
         names = set(model.names())
         for catalog, label in ((reference, "reference"), (candidate, "candidate")):
             for rec in catalog.loops():
-                missing = [v for v in rec.cycle if v not in names]
-                if missing:
-                    raise ModelError(
-                        [Diagnostic(f"{label} catalog references unknown variables: {', '.join(missing)}")]
-                    )
+                if missing := [v for v in rec.cycle if v not in names]:
+                    problem = f"{label} catalog references unknown variables: {', '.join(missing)}"
+                    raise ModelError([Diagnostic(problem)])
         run = simulate(model)
         series = score_all(model, run)
     report = compare_catalogs(

@@ -53,14 +53,20 @@ class MalformedCycleError(ValueError):
 
 
 def canonical_form(cycle: Iterable[str]) -> Cycle:
-    """Rotate a simple directed cycle to start at its lexicographically
-    smallest variable; direction is preserved."""
+    """Rotate a simple directed cycle of string nodes to start at its
+    smallest node, keeping direction; anything else raises MalformedCycleError."""
     nodes = tuple(cycle)
     if not nodes:
         raise MalformedCycleError("empty cycle")
+    try:
+        first = min(nodes)
+    except TypeError:  # nodes that do not compare
+        first = None
+    if not isinstance(first, str):  # of JSON values, only a string compares with a string
+        raise MalformedCycleError(f"non-string node in cycle {nodes}")
     if len(set(nodes)) != len(nodes):
         raise MalformedCycleError(f"repeated node in cycle {nodes}")
-    pivot = nodes.index(min(nodes))
+    pivot = nodes.index(first)
     return nodes[pivot:] + nodes[:pivot]
 
 
@@ -164,15 +170,28 @@ class LoopCatalog:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopCatalog":
-        """Inverse of to_json_dict.  Each discovery_score must be a finite
-        JSON number and each loop may appear once, in any rotation."""
+        """Inverse of to_json_dict: nodes are strings, scores finite JSON numbers,
+        and no loop repeats in any rotation, or MalformedCycleError says what is wrong."""
+        if not isinstance(data, dict):
+            raise MalformedCycleError("the top level is not a JSON object")
+        loops = data.get("loops", [])
+        if not isinstance(loops, list):
+            raise MalformedCycleError("malformed loop entry (loops is not a list)")
         catalog = cls(provenance=data.get("provenance", "unknown"), overflow=bool(data.get("overflow", False)))
-        for item in data.get("loops", []):
-            cycle = item["cycle"]
+        records = catalog._records
+        for item in loops:
+            if not isinstance(item, dict):
+                raise MalformedCycleError("malformed loop entry (an entry of loops is not an object)")
+            try:
+                cycle, score, found_at = item["cycle"], item["discovery_score"], item["found_at"]
+            except KeyError as err:
+                raise MalformedCycleError(f"a loop is missing the field {err}") from None
             if not isinstance(cycle, list):
                 raise MalformedCycleError(f"cycle {cycle!r} is not a list")
-            if not catalog.add(tuple(cycle), _finite_score(item["discovery_score"]), item["found_at"]):
-                raise MalformedCycleError(f"loop {' -> '.join(canonical_form(cycle))} is listed twice")
+            key = canonical_form(cycle)
+            if key in records:
+                raise MalformedCycleError(f"loop {' -> '.join(key)} is listed twice")
+            records[key] = LoopRecord(key, _finite_score(score), found_at)
         return catalog
 
     @classmethod
@@ -181,17 +200,14 @@ class LoopCatalog:
 
 
 def _finite_score(value) -> float:
-    """A discovery score read from JSON: an int or float, not a bool,
-    finite as a float."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            score = float(value)
-        except OverflowError:  # an int beyond the float range
-            pass
-        else:
-            if math.isfinite(score):
-                return score
-    raise ValueError(f"discovery_score {value!r} is not a finite number")
+    """A discovery score read from JSON: an int or float (not a bool)
+    that is finite as a float."""
+    try:
+        if type(value) in (int, float) and math.isfinite(score := float(value)):
+            return score
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise MalformedCycleError(f"malformed loop entry (discovery_score {value!r} is not a finite number)")
 
 
 # --------------------------------------------------------------------------

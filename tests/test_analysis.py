@@ -409,6 +409,90 @@ class TestCompare:
         assert report.near_misses == []
 
 
+# --------------------------------------------------------------------------
+# hypothesis: compare_catalogs gives the report of the earlier version, which
+# sorted and searched on its own (its sort assumed no NaN, so scores here
+# stay finite)
+
+def reference_compare_catalogs(reference, candidate, series=None, top_n=15, near_miss_ratio=0.6):
+    ref_records = reference.loops()
+    if series is not None:
+        values = [p.avg_contribution for p in sl.build_profiles(reference, series)]
+    else:
+        values = [abs(rec.discovery_score) for rec in ref_records]
+    ranked = sorted(zip(values, ref_records), key=lambda pair: (-pair[0], pair[1].cycle))
+
+    candidate_cycles = candidate.cycles()
+    candidates_in_order = sorted(candidate_cycles)
+    intersection = reference.cycles() & candidate_cycles
+
+    top_loops = []
+    near_misses = []
+    for _, rec in ranked[:top_n]:
+        present = rec.cycle in candidate_cycles
+        top_loops.append({"cycle": list(rec.cycle), "present": present})
+        if present or not candidate_cycles:
+            continue
+        best_cycle = None
+        best_ratio = 0.0
+        for cand in candidates_in_order:
+            ratio = _cyclic_overlap_ratio(rec.cycle, cand)
+            if ratio > best_ratio:
+                best_ratio = ratio
+                best_cycle = cand
+        if best_cycle is not None and best_ratio >= near_miss_ratio:
+            near_misses.append(
+                {
+                    "reference_cycle": list(rec.cycle),
+                    "candidate_cycle": list(best_cycle),
+                    "overlap": best_ratio,
+                }
+            )
+    return {
+        "reference_size": len(reference),
+        "candidate_size": len(candidate),
+        "intersection_size": len(intersection),
+        "top_loops": top_loops,
+        "near_misses": near_misses,
+    }
+
+
+_free_cycles = st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True)
+_tied_scores = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5])  # equal magnitudes of either sign
+
+
+@st.composite
+def _compare_cases(draw):
+    """Catalogs over a few nodes, so scores, overlaps and ranks tie often.
+    With a series, reference loops use its edges and link scores come from
+    a small set of values, so average contributions tie as well."""
+    series = None
+    reference_cycles = st.lists(_free_cycles, max_size=8)
+    if draw(st.booleans()):
+        pairs = [(src, dst) for src in "abcd" for dst in "abcd"]
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
+        n = draw(st.integers(min_value=1, max_value=4))
+        column = st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]), min_size=n + 1, max_size=n + 1)
+        series = LinkScoreSeries(tuple(edges), tuple(float(k) for k in range(n + 1)), {e: draw(column) for e in edges})
+        pool = sorted(enumerate_loops(WeightedDigraph.from_edges((s, d, 1.0) for s, d in edges)).cycles())
+        reference_cycles = st.lists(st.sampled_from(pool), max_size=8) if pool else st.just([])
+    catalogs = []
+    for cycles in (reference_cycles, st.lists(_free_cycles, max_size=6)):
+        catalog = LoopCatalog()
+        for cycle in draw(cycles):
+            catalog.add(cycle, draw(_tied_scores), "static")
+        catalogs.append(catalog)
+    return (*catalogs, series)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_compare_cases(), st.integers(min_value=-1, max_value=6), st.sampled_from([0.0, 0.6, 1.0]))
+def test_compare_matches_reference(case, top_n, near_miss_ratio):
+    reference, candidate, series = case
+    report = sl.compare_catalogs(reference, candidate, series, top_n=top_n, near_miss_ratio=near_miss_ratio)
+    assert report.to_json_dict() == reference_compare_catalogs(reference, candidate, series, top_n, near_miss_ratio)
+
+
 class TestOutputs:
     def test_profiles_csv(self, two_stock_catalog, two_stock_series, two_stock_run):
         profiles = sl.rank_and_filter(two_stock_catalog, two_stock_series)

@@ -174,6 +174,17 @@ class TestAnalyze:
         assert main(["analyze", twostock_path, "--top", "0"]) == 1
 
 
+# every link score is finite (1.4e294 and 1.3e281 at step 1), the product
+# along f -> s -> z is not; the loop g -> s stays finite
+OVERFLOWING_LOOP_MODEL = (
+    "SPEC START = 0 STOP = 3 DT = 1\n"
+    "STOCK s = 4.9 { inflow: f outflow: g }\n"
+    "FLOW f = IF z > 1.0000000000000004 THEN 0.2000000000000001 ELSE 1e280 * (z - 1) + 0.2\n"
+    "FLOW g = 0.01 * s\n"
+    "AUX z = IF s > 5 THEN 1.000000000000001 ELSE 1e280 * (s - 4.9) + 1\n"
+)
+
+
 class TestScoreOverflow:
     """A link score that overflows is 0; a loop score that overflows ends
     the run with exit 3, whatever --threshold and --top ask for."""
@@ -197,17 +208,8 @@ class TestScoreOverflow:
 
     @pytest.mark.parametrize("flags", [[], ["--top", "1"], ["--threshold", "0.5"]])
     def test_overflowing_loop_score_is_a_runtime_failure(self, flags, tmp_path, capsys):
-        # every link score is finite (1.4e294 and 1.3e281 at step 1), their
-        # product is not; the loop s -> g -> s stays finite
         model = tmp_path / "m.sdm"
-        model.write_text(
-            "SPEC START = 0 STOP = 3 DT = 1\n"
-            "STOCK s = 4.9 { inflow: f outflow: g }\n"
-            "FLOW f = IF z > 1.0000000000000004 THEN 0.2000000000000001 ELSE 1e280 * (z - 1) + 0.2\n"
-            "FLOW g = 0.01 * s\n"
-            "AUX z = IF s > 5 THEN 1.000000000000001 ELSE 1e280 * (s - 4.9) + 1\n",
-            encoding="utf-8",
-        )
+        model.write_text(OVERFLOWING_LOOP_MODEL, encoding="utf-8")
         out = tmp_path / "ranking.json"
         assert main(["analyze", str(model), "--out", str(out), *flags]) == 3
         captured = capsys.readouterr()
@@ -219,7 +221,7 @@ class TestScoreOverflow:
 
 class TestUnwritableOutput:
     """An output path that cannot be written is a usage error: exit 1 and
-    one stderr line naming the path."""
+    one stderr line naming the path.  No other output is written."""
 
     @pytest.mark.parametrize(
         "command, target",
@@ -239,6 +241,14 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target}: ")
         assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--csv", "--links-csv"])
+    def test_existing_output_is_left_as_it_was(self, flag, twostock_path, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        out.write_text("old", encoding="utf-8")
+        assert main(["analyze", twostock_path, "--out", str(out), flag, str(tmp_path)]) == 1
+        assert out.read_text(encoding="utf-8") == "old"
 
     def test_unreadable_input_is_a_usage_error(self, twostock_path, monkeypatch, capsys):
         def refuse(self, *args, **kwargs):
@@ -436,6 +446,26 @@ class TestCompare:
         assert captured.err == "error: --near-miss-ratio must be a number in [0, 1]\n"
 
 
+class TestCompareRanking:
+    """`compare --model` ranks reference loops as `analyze` does: a loop
+    whose score overflows comes first, wherever the file lists it."""
+
+    def test_overflowing_loop_first_in_either_file_order(self, tmp_path, capsys):
+        model = tmp_path / "m.sdm"
+        model.write_text(OVERFLOWING_LOOP_MODEL, encoding="utf-8")
+        loops = [{"cycle": cycle, "discovery_score": 1.0, "found_at": "static"} for cycle in (["f", "s", "z"], ["g", "s"])]
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps({"loops": loops[1:]}), encoding="utf-8")
+        outputs = []
+        for order in (loops, loops[::-1]):
+            ref = tmp_path / "ref.json"
+            ref.write_text(json.dumps({"loops": order}), encoding="utf-8")
+            assert main(["compare", str(ref), str(cand), "--model", str(model), "--top", "1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["top_loops"] == [{"cycle": ["f", "s", "z"], "present": False}]
+
+
 class TestCompareMalformedCatalog:
     """A catalog file that is not a loop catalog is a diagnostic naming
     the file (exit 2), whichever side it is on."""
@@ -483,6 +513,10 @@ class TestCompareMalformedCatalog:
             ("[" * 100_000, "JSON nested too deeply"),
             ('{"loops": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
             ('{"loops": ["ab"]}', "malformed loop entry"),
+            *(
+                (f'{{"loops": [{{"cycle": {cycle}, "discovery_score": 1.0, "found_at": 0}}]}}', "non-string node in cycle")
+                for cycle in ("[1, 2]", '["a", 1]', "[null]", '[["a"], ["b"]]', '[{"a": 1}, "b"]', "[true, false]")
+            ),
         ],
     )
     @pytest.mark.parametrize("side", ["reference", "candidate"])

@@ -100,7 +100,7 @@ _loop_entries = st.one_of(
     st.fixed_dictionaries(
         {},
         optional={
-            "cycle": st.one_of(st.lists(_names, max_size=4), _json_junk),
+            "cycle": st.one_of(st.lists(st.one_of(_names, st.integers(0, 3)), max_size=4, unique=True), _json_junk),
             "discovery_score": st.one_of(st.floats(), _json_junk),
             "found_at": st.one_of(st.sampled_from(["static", 0, 3]), _json_junk),
         },
@@ -186,6 +186,15 @@ _invocations = st.one_of(
 _GEN3 = sl.gen_synthetic(sl.SyntheticSpec(stocks=3)).encode("utf-8")
 
 
+def _catalog_bytes(*cycles):
+    return json.dumps({"loops": [{"cycle": c, "discovery_score": 1.0, "found_at": "static"} for c in cycles]}).encode()
+
+
+# integer nodes beside string nodes once reached sorting and joining
+_MIXED_REF = _catalog_bytes([1, 2], ["a", "b"])
+_MIXED_CAND = _catalog_bytes([3, 4], ["c", "d"])
+
+
 @settings(max_examples=120, deadline=None)
 @given(_invocations)
 @example((("simulate", "model", "--dt", "nan"), {"model": _GEN3}))
@@ -194,6 +203,8 @@ _GEN3 = sl.gen_synthetic(sl.SyntheticSpec(stocks=3)).encode("utf-8")
 @example((("simulate", "model", "--start=-1e308", "--stop=1e308"), {"model": _GEN3}))
 @example((("analyze", "model"), {"model": _GEN3.replace(b"STOP = 100", b"STOP = 1e999")}))
 @example((("compare", "ref", "cand"), {"ref": b"[" * 100_000, "cand": b"[" * 100_000}))
+@example((("compare", "ref", "cand"), {"ref": _MIXED_REF, "cand": _MIXED_CAND}))
+@example((("compare", "ref", "cand", "--model", "model"), {"ref": _MIXED_REF, "cand": _MIXED_CAND, "model": _GEN3}))
 def test_main_returns_a_documented_exit_code(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -36,6 +36,11 @@ class TestCanonicalForm:
         with pytest.raises(MalformedCycleError):
             canonical_form([])
 
+    @pytest.mark.parametrize("cycle", [[1, 2], ["a", 1], [None], [["a"], ["b"]], [True]])
+    def test_non_string_node_rejected(self, cycle):
+        with pytest.raises(MalformedCycleError, match="non-string node in cycle"):
+            canonical_form(cycle)
+
     @given(st.lists(st.text(alphabet="abcdef", min_size=1, max_size=3), min_size=1, max_size=8, unique=True),
            st.integers(min_value=0, max_value=7))
     def test_rotation_invariant(self, cycle, shift):
