@@ -15,7 +15,6 @@ import json  # noqa: F401  (unused here; bench/tracing.py rebinds sdloops.cli.js
 import math
 import os
 import sys
-from json import JSONDecodeError
 from pathlib import Path
 
 from ._jsonutil import indented_json
@@ -153,12 +152,12 @@ def _load_catalog(path: str) -> LoopCatalog:
     text = _read_text(path)
     try:
         return LoopCatalog.from_json(text)
-    except JSONDecodeError as err:
+    except MalformedCycleError as err:
+        problem = str(err)
+    except ValueError as err:  # JSONDecodeError, or an integer literal over the int digit limit
         problem = f"not valid JSON ({err})"
     except RecursionError:
         problem = "JSON nested too deeply"
-    except MalformedCycleError as err:
-        problem = str(err)
     raise ModelError([Diagnostic(f"{path}: {problem}")])
 
 
@@ -182,13 +181,15 @@ def cmd_analyze(args) -> int:
     if args.top < 1:
         raise _UsageError("--top must be >= 1")
     for path in filter(None, (args.out, args.csv, args.links_csv)):  # check all before writing any
-        existed = os.path.lexists(path)
+        existed = os.path.exists(path)  # False for a dangling symlink, whose target the open creates
+        if existed and not (os.path.isfile(path) or os.path.isdir(path)):
+            continue  # a FIFO or a device: opening it here would end its reader's input
         try:
             os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
         except OSError as err:
             raise _UsageError(f"cannot write {path}: {err.strerror}") from None
         if not existed:
-            os.remove(path)
+            os.remove(os.path.realpath(path))
 
     model = _load_model(args.model)
     run = simulate(model, _run_spec(model, args))

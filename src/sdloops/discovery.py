@@ -178,7 +178,6 @@ class LoopCatalog:
         if not isinstance(loops, list):
             raise MalformedCycleError("malformed loop entry (loops is not a list)")
         catalog = cls(provenance=data.get("provenance", "unknown"), overflow=bool(data.get("overflow", False)))
-        records = catalog._records
         for item in loops:
             if not isinstance(item, dict):
                 raise MalformedCycleError("malformed loop entry (an entry of loops is not an object)")
@@ -188,10 +187,8 @@ class LoopCatalog:
                 raise MalformedCycleError(f"a loop is missing the field {err}") from None
             if not isinstance(cycle, list):
                 raise MalformedCycleError(f"cycle {cycle!r} is not a list")
-            key = canonical_form(cycle)
-            if key in records:
-                raise MalformedCycleError(f"loop {' -> '.join(key)} is listed twice")
-            records[key] = LoopRecord(key, _finite_score(score), found_at)
+            if not catalog.add(cycle, _finite_score(score), found_at):
+                raise MalformedCycleError(f"loop {' -> '.join(canonical_form(cycle))} is listed twice")
         return catalog
 
     @classmethod

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -249,6 +252,28 @@ class TestUnwritableOutput:
         out.write_text("old", encoding="utf-8")
         assert main(["analyze", twostock_path, "--out", str(out), flag, str(tmp_path)]) == 1
         assert out.read_text(encoding="utf-8") == "old"
+
+    def test_dangling_symlink_target_is_not_left_behind(self, twostock_path, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        (tmp_path / "r.json").symlink_to(target)
+        assert main(["analyze", twostock_path, "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path)]) == 1
+        assert not target.exists()
+        assert (tmp_path / "r.json").is_symlink()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_output_is_opened_once(self, twostock_path, tmp_path, capsys):
+        fifo = tmp_path / "r.json"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True)
+        reader.start()
+        codes = []
+        run = threading.Thread(target=lambda: codes.append(main(["analyze", twostock_path, "--out", str(fifo)])), daemon=True)
+        run.start()
+        run.join(timeout=30)
+        reader.join(timeout=5)
+        assert codes == [0]
+        assert json.loads(received[0])["metadata"]["model"] == twostock_path
 
     def test_unreadable_input_is_a_usage_error(self, twostock_path, monkeypatch, capsys):
         def refuse(self, *args, **kwargs):
@@ -510,6 +535,12 @@ class TestCompareMalformedCatalog:
                 "loop a -> b is listed twice",
             ),
             ('{"loops": 5}', "malformed loop entry"),
+            pytest.param(
+                '{"loops": [{"cycle": ["a"], "discovery_score": ' + "1" * 5000 + ', "found_at": 0}]}',
+                # json.loads refuses the literal where int() has a digit limit
+                "not valid JSON" if hasattr(sys, "get_int_max_str_digits") else "malformed loop entry",
+                id="5000-digit-score",
+            ),
             ("[" * 100_000, "JSON nested too deeply"),
             ('{"loops": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
             ('{"loops": ["ab"]}', "malformed loop entry"),

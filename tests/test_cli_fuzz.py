@@ -193,6 +193,8 @@ def _catalog_bytes(*cycles):
 # integer nodes beside string nodes once reached sorting and joining
 _MIXED_REF = _catalog_bytes([1, 2], ["a", "b"])
 _MIXED_CAND = _catalog_bytes([3, 4], ["c", "d"])
+# an integer literal over the int digit limit makes json.loads raise a plain ValueError
+_LONG_INT_SCORE = b'{"loops": [{"cycle": ["a", "b"], "discovery_score": ' + b"1" * 5000 + b', "found_at": 0}]}'
 
 
 @settings(max_examples=120, deadline=None)
@@ -205,6 +207,7 @@ _MIXED_CAND = _catalog_bytes([3, 4], ["c", "d"])
 @example((("compare", "ref", "cand"), {"ref": b"[" * 100_000, "cand": b"[" * 100_000}))
 @example((("compare", "ref", "cand"), {"ref": _MIXED_REF, "cand": _MIXED_CAND}))
 @example((("compare", "ref", "cand", "--model", "model"), {"ref": _MIXED_REF, "cand": _MIXED_CAND, "model": _GEN3}))
+@example((("compare", "ref", "cand"), {"ref": _LONG_INT_SCORE, "cand": _MIXED_CAND}))
 def test_main_returns_a_documented_exit_code(invocation):
     argv, files = invocation
     with tempfile.TemporaryDirectory() as tmp:
