@@ -8,6 +8,10 @@ yields one small string per token; this writer instead joins each
 container once, encodes strings with the C function
 `encode_basestring_ascii`, and turns a list of only str or only float
 items into text with one `str.join` over a `map`.
+
+`indented_json_pieces(obj)` is the same text as a list of pieces, of
+which `indented_json` is the `"".join`: a writer can put the pieces out
+one after another without ever holding the whole text in one string.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 
-__all__ = ["indented_json"]
+__all__ = ["indented_json", "indented_json_pieces"]
 
 _INDENT = "  "
 
@@ -23,7 +27,17 @@ _INDENT = "  "
 def indented_json(obj) -> str:
     """Text of ``json.dumps(obj, indent=2, allow_nan=False)``.  NaN and
     infinities raise ValueError, other types TypeError."""
-    return _encode(obj, "\n")
+    return "".join(indented_json_pieces(obj))
+
+
+def indented_json_pieces(obj, default=None) -> list[str]:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False,
+    default=default)`` in pieces.  The top-level container and each
+    container directly inside it are split at their items, so an item two
+    levels down (one loop of a catalog or a ranking) is one piece and no
+    piece holds the whole document.  `default` turns an object of another
+    type into one the writer knows, or raises TypeError."""
+    return _pieces(obj, "\n", 1, default)
 
 
 def _float(x: float) -> str:
@@ -32,7 +46,7 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
-# exact type -> writer; subclasses take the isinstance path at the end of _encode
+# exact type -> writer; subclasses take the isinstance path at the end of _pieces
 _SCALARS = {
     str: _encode_str,
     float: _float,
@@ -42,28 +56,43 @@ _SCALARS = {
 }
 
 
-def _encode(obj, newline: str) -> str:
-    """`obj` as JSON whose closing bracket follows `newline` (a line
-    break and the indent of the line `obj` starts on)."""
+def _encode(obj, newline: str, default) -> str:
+    """`obj` as one JSON string whose closing bracket follows `newline` (a
+    line break and the indent of the line `obj` starts on)."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
+    return "".join(_pieces(obj, newline, 0, default))
+
+
+def _pieces(obj, newline: str, depth: int, default) -> list[str]:
+    """`obj` as JSON pieces, closing bracket after `newline`.  Each item
+    of a container is one piece at `depth` 0; at `depth` d it is split into
+    pieces itself, its own items at depth d - 1."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return [scalar(obj)]
     inner = newline + _INDENT
     sep = "," + inner
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
+            return ["{}"]
         parts = ["{"]
-        for key, value in obj.items():  # encode_basestring_ascii raises TypeError on a non-str key
-            parts += (sep, _encode_str(key), ": ", _encode(value, inner))
+        # encode_basestring_ascii raises TypeError on a non-str key
+        if depth:
+            for key, value in obj.items():
+                parts += (sep, _encode_str(key), ": ", *_pieces(value, inner, depth - 1, default))
+        else:
+            for key, value in obj.items():
+                parts += (sep, _encode_str(key), ": ", _encode(value, inner, default))
         parts[1] = inner
         parts += (newline, "}")
-        return "".join(parts)
+        return parts
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            return ["[]"]
         try:  # all str: one join, no Python call per item
-            return f"[{inner}{sep.join(map(_encode_str, obj))}{newline}]"
+            return [f"[{inner}{sep.join(map(_encode_str, obj))}{newline}]"]
         except TypeError:
             pass
         try:  # all float
@@ -74,14 +103,20 @@ def _encode(obj, newline: str) -> str:
             if "n" in body:  # "nan", "inf" or "-inf": no finite float's repr has an n
                 for x in obj:
                     _float(x)
-            return f"[{inner}{body}{newline}]"
+            return [f"[{inner}{body}{newline}]"]
         parts = ["["]
-        for item in obj:
-            parts += (sep, _encode(item, inner))
+        if depth:
+            for item in obj:
+                parts += (sep, *_pieces(item, inner, depth - 1, default))
+        else:
+            for item in obj:
+                parts += (sep, _encode(item, inner, default))
         parts[1] = inner
         parts += (newline, "]")
-        return "".join(parts)
+        return parts
     for base in (str, float, int):
         if isinstance(obj, base):
-            return _SCALARS[base](obj)
+            return [_SCALARS[base](obj)]
+    if default is not None:
+        return _pieces(default(obj), newline, depth, default)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

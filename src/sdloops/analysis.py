@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .discovery import Cycle, LoopCatalog, LoopRecord, canonical_form
 from .dsl import format_number
+from .engine import left_sum
 from .scoring import LinkScoreSeries
 
 __all__ = [
@@ -108,12 +109,12 @@ def build_profiles(catalog: LoopCatalog, series: LinkScoreSeries) -> list[LoopPr
     series over steps 1..n, counting all-inactive steps as zero."""
     records = catalog.loops()
     scores = [loop_score_series(rec, series) for rec in records]
-    totals = [sum(map(abs, column)) for column in zip(*scores)]
+    totals = [left_sum(map(abs, column)) for column in zip(*scores)]
     profiles = []
     n = series.n
     for rec, row in zip(records, scores):
         relative = [abs(s) / total if total > 0.0 else 0.0 for s, total in zip(row, totals)]
-        avg = sum(relative[1:]) / n
+        avg = left_sum(relative[1:]) / n
         polarity, note = classify_polarity(row)
         profiles.append(LoopProfile(rec, row, relative, avg, polarity, note))
     return profiles

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from ._jsonutil import indented_json
+from ._jsonutil import indented_json_pieces
 from .analysis import (
     AnalysisError,
     compare_catalogs,
@@ -68,29 +68,34 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {err.strerror}") from None
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces: list[str]) -> None:
+    """Write the text whose pieces are given, one piece after another."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
     except OSError as err:
         raise _UsageError(f"cannot write {path}: {err.strerror}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: list[str], out: str | None) -> None:
     if out:
-        _write_text(out, text)
+        _write_text(out, pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(render, out: str | None) -> int:
-    """Write the JSON text `render()` returns (indented_json, strict):
-    NaN or Infinity is a runtime failure, and nothing is written."""
+    """Write the JSON text whose pieces `render()` returns
+    (indented_json_pieces, strict).  Every piece is rendered before
+    anything is written: NaN or Infinity is a runtime failure, and
+    nothing is written."""
     try:
-        text = render() + "\n"  # one copy of the text stays alive while it is written
+        pieces = render()
     except ValueError as err:
         print(f"error: non-finite number in JSON output ({err})", file=sys.stderr)
         return EXIT_RUNTIME
-    _emit(text, out)
+    pieces.append("\n")
+    _emit(pieces, out)
     return EXIT_OK
 
 
@@ -148,10 +153,10 @@ def _parse_edge_csv(text: str) -> list[tuple[str, str, float]]:
 
 def _load_catalog(path: str) -> LoopCatalog:
     """Read a catalog JSON file; content that is not a loop catalog is a
-    diagnostic naming the file."""
-    text = _read_text(path)
+    diagnostic naming the file.  The text is passed on, not kept, so
+    from_json can drop it once parsed."""
     try:
-        return LoopCatalog.from_json(text)
+        return LoopCatalog.from_json(_read_text(path))
     except MalformedCycleError as err:
         problem = str(err)
     except ValueError as err:  # JSONDecodeError, or an integer literal over the int digit limit
@@ -167,7 +172,7 @@ def _load_catalog(path: str) -> LoopCatalog:
 def cmd_simulate(args) -> int:
     model = _load_model(args.model)
     run = simulate(model, _run_spec(model, args))
-    _emit(run_to_csv(run), args.out)
+    _emit([run_to_csv(run)], args.out)
     return EXIT_OK
 
 
@@ -211,12 +216,12 @@ def cmd_analyze(args) -> int:
         "loops_after_filter": len(profiles),
     }
     ranking = ranking_to_json_dict(profiles, catalog, metadata)
-    if _emit_json(lambda: indented_json(ranking), args.out) != EXIT_OK:
+    if _emit_json(lambda: indented_json_pieces(ranking), args.out) != EXIT_OK:
         return EXIT_RUNTIME
     if args.csv:
-        _write_text(args.csv, profiles_to_csv(profiles, run.times))
+        _write_text(args.csv, [profiles_to_csv(profiles, run.times)])
     if args.links_csv:
-        _write_text(args.links_csv, series_to_csv(series))
+        _write_text(args.links_csv, [series_to_csv(series)])
     return EXIT_OK
 
 
@@ -234,7 +239,7 @@ def cmd_graph_loops(args) -> int:
         catalog = LoopCatalog(provenance="strongest-path")
         targets = None if args.start == "all" else [args.start]
         strongest_path_pass(graph, catalog, targets=targets)
-    return _emit_json(catalog.to_json, args.out)
+    return _emit_json(catalog.to_json_pieces, args.out)
 
 
 def cmd_gen(args) -> int:
@@ -242,7 +247,7 @@ def cmd_gen(args) -> int:
         spec = SyntheticSpec(stocks=args.stocks, density=args.density, seed=args.seed)
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    _emit(gen_synthetic(spec), args.out)
+    _emit([gen_synthetic(spec)], args.out)
     return EXIT_OK
 
 
@@ -267,7 +272,7 @@ def cmd_compare(args) -> int:
     report = compare_catalogs(
         reference, candidate, series, top_n=args.top, near_miss_ratio=args.near_miss_ratio
     )
-    return _emit_json(lambda: indented_json(report.to_json_dict()), args.out)
+    return _emit_json(lambda: indented_json_pieces(report.to_json_dict()), args.out)
 
 
 # --------------------------------------------------------------------------

@@ -23,14 +23,16 @@ chains are fine.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import getitem
 from typing import Callable, Iterable, Iterator
 
 from ._graphutil import strongly_connected_components
-from ._jsonutil import indented_json
+from ._jsonutil import indented_json_pieces
 from .dsl import Digraph, Model
 from .scoring import LinkScoreSeries, composite_scores
 
@@ -113,7 +115,7 @@ class WeightedDigraph:
         return score
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoopRecord:
     cycle: Cycle                 # canonical rotation
     discovery_score: float       # signed product of edge weights at discovery
@@ -150,23 +152,21 @@ class LoopCatalog:
         return len(self._records)
 
     def to_json_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "overflow": self.overflow,
-            "loops": [
-                {
-                    "cycle": list(rec.cycle),
-                    "discovery_score": rec.discovery_score,
-                    "found_at": rec.found_at,
-                }
-                for rec in self.loops()
-            ],
-        }
+        return self._document([_loop_json(rec) for rec in self.loops()])
 
     def to_json(self) -> str:
         """Strict JSON with a two-space indent; NaN or an infinite score
         raises ValueError."""
-        return indented_json(self.to_json_dict())
+        return "".join(self.to_json_pieces())
+
+    def to_json_pieces(self) -> list[str]:
+        """to_json's text in pieces, one per loop.  Each loop's dict lives
+        only while its piece is written, so the pieces are the only copy
+        of the document."""
+        return indented_json_pieces(self._document(self.loops()), default=_loop_json)
+
+    def _document(self, loops: list) -> dict:
+        return {"provenance": self.provenance, "overflow": self.overflow, "loops": loops}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopCatalog":
@@ -193,7 +193,55 @@ class LoopCatalog:
 
     @classmethod
     def from_json(cls, text: str) -> "LoopCatalog":
-        return cls.from_json_dict(json.loads(text))
+        """from_json_dict of the parsed text.  Equal node names and equal
+        found_at strings become one str object while the text is parsed,
+        and the text is dropped before the records are built."""
+        with _gc_paused():
+            data = json.loads(text, object_hook=_string_sharing_hook())
+            del text
+            return cls.from_json_dict(data)
+
+
+def _loop_json(rec: LoopRecord) -> dict:
+    """One loop of to_json_dict; the writer's `default` for a LoopRecord."""
+    if type(rec) is not LoopRecord:
+        raise TypeError(f"Object of type {type(rec).__name__} is not JSON serializable")
+    return {"cycle": list(rec.cycle), "discovery_score": rec.discovery_score, "found_at": rec.found_at}
+
+
+def _string_sharing_hook():
+    """A json.loads object hook for one document: a str in a "cycle" list
+    or as "found_at" is replaced by the first equal str of the document.
+    Every other value passes through as it is, because a table keyed by
+    equality would turn a JSON true into the 1 before it."""
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+
+    def hook(obj: dict) -> dict:
+        cycle = obj.get("cycle")
+        if type(cycle) is list:
+            obj["cycle"] = [share(v, v) if type(v) is str else v for v in cycle]
+        found_at = obj.get("found_at")
+        if type(found_at) is str:
+            obj["found_at"] = share(found_at, found_at)
+        return obj
+
+    return hook
+
+
+@contextmanager
+def _gc_paused():
+    """Keep the cyclic garbage collector off for a bulk build of many
+    small objects that form no cycles, and restore its previous state.
+    Left on, it walks every object built so far each time the young
+    generation fills."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _finite_score(value) -> float:
@@ -283,16 +331,17 @@ def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCa
     row = {src: dict(reversed(out)) for src, out in graph.out.items()}  # row[src][dst]: first weight wins
     catalog = LoopCatalog(provenance="exhaustive")
     records = catalog._records
-    # Johnson's search yields each circuit once: no lookup before storing
-    for cycle in _elementary_circuits(graph.nodes, adj):
-        if len(records) >= cap:
-            catalog.overflow = True
-            break
-        pivot = cycle.index(min(cycle))
-        key = tuple(cycle[pivot:] + cycle[:pivot])
-        # the canonical rotation's edges in order: cycle_score's products, bit for bit
-        score = math.prod(map(getitem, map(row.__getitem__, key), key[1:] + key[:1]))
-        records[key] = LoopRecord(key, score, "static")
+    with _gc_paused():
+        # Johnson's search yields each circuit once: no lookup before storing
+        for cycle in _elementary_circuits(graph.nodes, adj):
+            if len(records) >= cap:
+                catalog.overflow = True
+                break
+            pivot = cycle.index(min(cycle))
+            key = tuple(cycle[pivot:] + cycle[:pivot])
+            # the canonical rotation's edges in order: cycle_score's products, bit for bit
+            score = math.prod(map(getitem, map(row.__getitem__, key), key[1:] + key[:1]))
+            records[key] = LoopRecord(key, score, "static")
     return catalog
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .dsl import (
     Bin,
@@ -45,6 +47,13 @@ __all__ = [
     "compile_equation",
     "run_to_csv",
 ]
+
+
+def left_sum(xs) -> float:
+    """Sum from the left, starting at the int 0: the bits `sum()` gives on
+    Python 3.11 and earlier on every Python.  From 3.12, `sum()` of floats
+    compensates its rounding, so the last bit of a sum can differ."""
+    return reduce(add, xs, 0)
 
 
 class SimulationError(Exception):
@@ -275,7 +284,7 @@ def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:
                 trace[name][slot][k] = taken
         if k < n:
             for s in stocks:
-                net = sum(values[f][k] for f in s.inflows) - sum(values[f][k] for f in s.outflows)
+                net = left_sum(values[f][k] for f in s.inflows) - left_sum(values[f][k] for f in s.outflows)
                 nxt = values[s.name][k] + dt * net
                 if not math.isfinite(nxt):
                     raise SimulationError("non-finite value", s.name, k + 1, s.loc)

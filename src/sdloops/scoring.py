@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .dsl import Model, dependency_graph, format_number
-from .engine import RunResult, compile_equation
+from .engine import RunResult, compile_equation, left_sum
 
 __all__ = [
     "LinkScoreSeries",
@@ -156,7 +156,7 @@ def composite_scores(series: LinkScoreSeries, mode: str) -> CompositeWeights:
             # max keeps the first of equal magnitudes: the earliest step
             weights[edge] = max(scores, key=abs)
         else:
-            mag = sum(abs(s) for s in scores[1:]) / n
+            mag = left_sum(map(abs, scores[1:])) / n
             if mag == 0.0:
                 weights[edge] = 0.0
             else:

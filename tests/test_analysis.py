@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,11 +139,17 @@ def _reference_loop_scores(cycle, series):
     return out
 
 
+def _left_sum(xs):
+    """sum() as Python 3.11 and earlier compute it for floats: a plain left
+    fold from the int 0, which later versions' compensated sum is not."""
+    return reduce(add, xs, 0)
+
+
 def _reference_relative(catalog, series):
     raw = {rec.cycle: _reference_loop_scores(rec.cycle, series) for rec in catalog.loops()}
     rel = {cycle: [0.0] * (series.n + 1) for cycle in raw}
     for k in range(series.n + 1):
-        total = sum(abs(raw[cycle][k]) for cycle in raw)
+        total = _left_sum(abs(raw[cycle][k]) for cycle in raw)
         if total > 0.0:
             for cycle in raw:
                 rel[cycle][k] = abs(raw[cycle][k]) / total
@@ -177,7 +185,7 @@ def test_profiles_match_stepwise_reference(series):
         assert _bits(loop_score_series(p.cycle, series)) == _bits(raw[p.cycle])
         assert _bits(p.score_series) == _bits(raw[p.cycle])
         assert _bits(p.relative_series) == _bits(rel[p.cycle])
-        assert repr(p.avg_contribution) == repr(sum(rel[p.cycle][1:]) / series.n)
+        assert repr(p.avg_contribution) == repr(_left_sum(rel[p.cycle][1:]) / series.n)
         assert (p.polarity, p.note) == classify_polarity(raw[p.cycle])
     relative = sl.relative_scores(catalog, series)
     assert {cycle: _bits(r) for cycle, r in relative.items()} == {cycle: _bits(r) for cycle, r in rel.items()}

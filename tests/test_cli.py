@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -351,6 +353,16 @@ class TestGraphLoops:
         assert not out.exists()
         assert "non-finite number in JSON output" in captured.err
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.binary(max_size=64), st.sampled_from(["exhaustive", "strongest-path"]))
+    def test_overflowing_loop_score_keeps_an_existing_file(self, old, method):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp, "edges.csv"), Path(tmp, "loops.json")
+            path.write_text("a,b,1\nb,c,1e200\nc,a,1e200\nb,a,2\n", encoding="utf-8")
+            out.write_bytes(old)
+            assert main(["graph-loops", str(path), "--method", method, "--out", str(out)]) == 3
+            assert out.read_bytes() == old
+
 
 _nodes = st.sampled_from(["a", "b", "c", "d"])
 _edge_lists = st.lists(
@@ -380,6 +392,29 @@ def test_zero_weight_edge_changes_no_catalog(rows, extra, zero):
                 assert main(["graph-loops", str(path), "--method", method, "--out", str(out)]) == 0
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_lists, st.sampled_from(["exhaustive", "strongest-path"]))
+def test_written_catalog_is_json_dumps_text(rows, method):
+    """The catalog file, written in pieces, is json.dumps's text of the
+    catalog plus a line break, on stdout too."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "edges.csv"), Path(tmp, "loops.json")
+        path.write_text("".join(f"{s},{d},{w}\n" for s, d, w in rows), encoding="utf-8")
+        assert main(["graph-loops", str(path), "--method", method, "--out", str(out)]) == 0
+        graph = sl.WeightedDigraph.from_edges((s, d, float(w)) for s, d, w in rows)
+        if method == "exhaustive":
+            catalog = sl.enumerate_loops(graph)
+        else:
+            catalog = sl.LoopCatalog(provenance="strongest-path")
+            sl.strongest_path_pass(graph, catalog)
+        expected = json.dumps(catalog.to_json_dict(), indent=2, allow_nan=False) + "\n"
+        assert out.read_bytes() == expected.encode("ascii")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["graph-loops", str(path), "--method", method]) == 0
+        assert stdout.getvalue() == expected
 
 
 class TestGen:
@@ -547,6 +582,11 @@ class TestCompareMalformedCatalog:
             *(
                 (f'{{"loops": [{{"cycle": {cycle}, "discovery_score": 1.0, "found_at": 0}}]}}', "non-string node in cycle")
                 for cycle in ("[1, 2]", '["a", 1]', "[null]", '[["a"], ["b"]]', '[{"a": 1}, "b"]', "[true, false]")
+            ),
+            # values equal to one another but of other types are never shared as node names
+            *(
+                (f'{{"loops": [{{"cycle": {cycle}, "discovery_score": 1.0, "found_at": 0}}]}}', f"non-string node in cycle {shown}\n")
+                for cycle, shown in (("[1, true]", "(1, True)"), ("[0, -0.0, false]", "(0, -0.0, False)"), ('["a", 1.0, 1]', "('a', 1.0, 1)"))
             ),
         ],
     )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 import math
 import random
@@ -11,9 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 import sdloops as sl
 from sdloops.discovery import (
     LoopCatalog,
+    LoopRecord,
     MalformedCycleError,
     WeightedDigraph,
     _elementary_circuits,
+    _gc_paused,
     canonical_form,
     enumerate_loops,
     step_graph,
@@ -406,6 +410,23 @@ def test_heuristic_subset_of_exhaustive_on_synthetics(stocks, density, seed):
     assert heuristic.cycles() <= exhaustive.cycles()
 
 
+_names = st.text(st.characters(blacklist_categories=()), min_size=1, max_size=4)
+
+
+@st.composite
+def _catalogs(draw):
+    """Catalogs of up to 8 loops over a few names; scores finite, found_at
+    a step or "static"."""
+    names = draw(st.lists(_names, min_size=1, max_size=6, unique=True))
+    catalog = LoopCatalog(provenance=draw(st.sampled_from(["exhaustive", "strongest-path"])), overflow=draw(st.booleans()))
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        cycle = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+        score = draw(st.floats(allow_nan=False, allow_infinity=False))
+        found_at = draw(st.one_of(st.just("static"), st.integers(min_value=0, max_value=500)))
+        catalog.add(cycle, score, found_at)
+    return catalog
+
+
 class TestCatalogJson:
     def test_schema_round_trip(self, greedy_miss_graph):
         catalog = enumerate_loops(greedy_miss_graph)
@@ -451,9 +472,83 @@ class TestCatalogJson:
         with pytest.raises(MalformedCycleError, match="loop a -> b -> c is listed twice"):
             LoopCatalog.from_json_dict({"loops": loops})
 
+    def test_records_are_slotted_and_frozen(self):
+        rec = LoopRecord(("a", "b"), 1.0, "static")
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.found_at = 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(_catalogs())
+    def test_pieces_are_the_text_of_json_dumps(self, catalog):
+        expected = json.dumps(catalog.to_json_dict(), indent=2, allow_nan=False)
+        assert "".join(catalog.to_json_pieces()) == catalog.to_json() == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(_catalogs())
+    def test_round_trip_shares_node_names(self, catalog):
+        back = LoopCatalog.from_json(catalog.to_json())
+        assert (back.provenance, back.overflow) == (catalog.provenance, catalog.overflow)
+        assert [(r.cycle, repr(r.discovery_score), r.found_at) for r in back.loops()] == [
+            (r.cycle, repr(r.discovery_score), r.found_at) for r in catalog.loops()
+        ]
+        first: dict[str, str] = {}
+        for rec in back.loops():
+            for name in rec.cycle + ((rec.found_at,) if isinstance(rec.found_at, str) else ()):
+                assert first.setdefault(name, name) is name
+
+    def test_found_at_that_is_not_a_str_is_not_shared(self):
+        text = '{"loops": [{"cycle": ["a"], "discovery_score": 1, "found_at": 1}, {"cycle": ["b"], "discovery_score": 1, "found_at": true}]}'
+        found_at = [rec.found_at for rec in LoopCatalog.from_json(text).loops()]
+        assert found_at == [1, True] and type(found_at[1]) is bool
+
     @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
     def test_non_finite_score_is_not_written(self, score):
         catalog = LoopCatalog()
         catalog.add(("a", "b"), score, "static")
         with pytest.raises(ValueError):
             catalog.to_json()
+
+
+class TestGcPaused:
+    """The bulk builds run with the cyclic collector off and leave its
+    state as they found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_previous_state(self, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(KeyError):
+                with _gc_paused():
+                    assert not gc.isenabled()
+                    raise KeyError("x")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_at_most_one_young_collection_per_build(self):
+        """Paused, the collector runs at most once per build: a young
+        collection when it is switched back on.  Left on, it ran 4 to 10
+        times in each of these builds (Python 3.10 to 3.12)."""
+        graph = WeightedDigraph.from_edges((f"n{i}", f"n{j}", 0.5) for i in range(7) for j in range(7) if i != j)
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.collect()  # start each build with an empty young generation
+        gc.callbacks.append(count)
+        try:
+            catalog = enumerate_loops(graph, cap=1500)
+            in_enumerate = collections[:]
+            text = catalog.to_json()
+            gc.collect()
+            del collections[:]
+            back = LoopCatalog.from_json(text)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(back) == len(catalog) == 1500
+        assert in_enumerate in ([], [0])
+        assert collections in ([], [0])

@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdloops._jsonutil import indented_json
+from sdloops._jsonutil import indented_json, indented_json_pieces
 
 
 def _reference(obj):
@@ -66,6 +66,59 @@ def test_matches_json_dumps(obj):
     expected = _reference(obj)
     assert expected[0] == "text" or expected[1] is ValueError  # the strategy builds only JSON types
     assert _writer(obj) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+@example({"loops": [{"cycle": ["a"], "score": 1.5}, {"cycle": [], "score": -0.0}], "overflow": False})
+@example([[["deep"]], {"k": {"v": [1, 2]}}])
+def test_pieces_join_to_the_text(obj):
+    try:
+        pieces = indented_json_pieces(obj)
+    except ValueError:
+        with pytest.raises(ValueError):
+            indented_json(obj)
+        return
+    assert all(type(piece) is str for piece in pieces)
+    assert "".join(pieces) == indented_json(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+def test_pieces_split_two_levels_down():
+    """Each item of a container inside the top-level one is its own piece,
+    so a catalog's loops are pieces, never one string."""
+    loops = [{"cycle": ["a", "b"], "score": float(i)} for i in range(3)]
+    pieces = indented_json_pieces({"loops": loops})
+    for loop in loops:
+        assert indented_json(loop).replace("\n", "\n    ") in pieces
+
+
+class _Point:
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+
+def _point_json(obj):
+    if isinstance(obj, _Point):
+        return {"x": obj.x, "y": [obj.y, None]}
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _Point(1, 2.5),
+        [_Point(1, 2.5), _Point("a", -0.0)],
+        {"points": [_Point(0, 1.0)], "rest": [1.0, _Point(2, 3)]},
+        {"a": {"b": [_Point(0, 1.0)]}},
+    ],
+)
+def test_default_converts_as_json_dumps_does(obj):
+    expected = json.dumps(obj, indent=2, allow_nan=False, default=_point_json)
+    assert "".join(indented_json_pieces(obj, default=_point_json)) == expected
+    with pytest.raises(TypeError):
+        indented_json_pieces(obj)
+    with pytest.raises(ValueError):
+        indented_json_pieces([_Point(0, math.nan)], default=_point_json)
 
 
 def test_tuples_and_subclasses_are_written_as_json_dumps_writes_them():
