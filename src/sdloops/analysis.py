@@ -11,6 +11,7 @@ that note in their metadata.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import asdict, dataclass
 
@@ -183,7 +184,8 @@ def compare_catalogs(
     if series is not None:
         top = [p.record for p in rank_and_filter(reference, series)[:top_n]]
     else:
-        top = sorted(reference.loops(), key=lambda rec: (-abs(rec.discovery_score), rec.cycle))[:top_n]
+        count = slice(top_n).indices(len(reference))[1]  # as many as a slice [:top_n] keeps, top_n < 0 too
+        top = heapq.nsmallest(count, reference.loops(), key=lambda rec: (-abs(rec.discovery_score), rec.cycle))
     candidate_cycles = candidate.cycles()
     candidates_in_order = sorted(candidate_cycles)
     top_loops = [{"cycle": list(rec.cycle), "present": rec.cycle in candidate_cycles} for rec in top]
@@ -195,8 +197,8 @@ def compare_catalogs(
         ratio = _cyclic_overlap_ratio(rec.cycle, best)
         if ratio > 0.0 and ratio >= near_miss_ratio:
             near_misses.append({"reference_cycle": list(rec.cycle), "candidate_cycle": list(best), "overlap": ratio})
-    intersection = reference.cycles() & candidate_cycles
-    return CompletenessReport(len(reference), len(candidate), len(intersection), top_loops, near_misses)
+    intersection_size = sum(cycle in reference for cycle in candidate_cycles)
+    return CompletenessReport(len(reference), len(candidate), intersection_size, top_loops, near_misses)
 
 
 def profiles_to_csv(profiles: list[LoopProfile], times: tuple[float, ...]) -> str:

@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable input
-paths or unwritable output paths), 2 input diagnostics (parse/validate
-failures, malformed or non-UTF-8 input files), 3 runtime failure
-(aborted simulation, exhausted loop cap in forced exhaustive mode, a
-non-finite number in JSON output).
+paths, unwritable output paths or standard output), 2 input
+diagnostics (parse/validate failures, malformed or non-UTF-8 input
+files), 3 runtime failure (aborted simulation, exhausted loop cap in
+forced exhaustive mode, a non-finite number in JSON output).
 All commands are deterministic for identical inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json  # noqa: F401  (unused here; bench/tracing.py rebinds sdloops.cli.json to time json.dumps)
 import math
 import os
@@ -50,6 +51,10 @@ class _UsageError(Exception):
     pass
 
 
+class _RuntimeFailure(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -60,7 +65,7 @@ def _read_text(path: str) -> str:
     if not p.is_file():
         raise _UsageError(f"file not found: {path}")
     try:
-        return p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8").removeprefix("\ufeff")  # a byte-order mark is not text
     except UnicodeDecodeError as err:
         problem = f"not UTF-8 text (byte {err.object[err.start]:#04x} at offset {err.start})"
         raise ModelError([Diagnostic(f"{path}: {problem}")]) from None
@@ -68,35 +73,32 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {err.strerror}") from None
 
 
-def _write_text(path: str, pieces: list[str]) -> None:
-    """Write the text whose pieces are given, one piece after another."""
+def _emit(path: str | None, pieces: list[str]) -> None:
+    """Write the pieces one after another to the file at `path`, or to
+    standard output without a path; failing to is a usage error."""
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.writelines(pieces)
+        if path:
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(pieces)
+        elif sys.stdout is None:  # the process was started with it closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
     except OSError as err:
-        raise _UsageError(f"cannot write {path}: {err.strerror}") from None
+        raise _UsageError(f"cannot write {path or 'standard output'}: {err.strerror}") from None
 
 
-def _emit(pieces: list[str], out: str | None) -> None:
-    if out:
-        _write_text(out, pieces)
-    else:
-        sys.stdout.writelines(pieces)
-
-
-def _emit_json(render, out: str | None) -> int:
-    """Write the JSON text whose pieces `render()` returns
-    (indented_json_pieces, strict).  Every piece is rendered before
-    anything is written: NaN or Infinity is a runtime failure, and
-    nothing is written."""
+def _json_pieces(render) -> list[str]:
+    """`render()`'s JSON pieces (indented_json_pieces, strict) and a final
+    line break, all rendered before anything is written: NaN or Infinity
+    is a runtime failure, and nothing is written."""
     try:
         pieces = render()
     except ValueError as err:
-        print(f"error: non-finite number in JSON output ({err})", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise _RuntimeFailure(f"non-finite number in JSON output ({err})") from None
     pieces.append("\n")
-    _emit(pieces, out)
-    return EXIT_OK
+    return pieces
 
 
 def _load_model(path: str):
@@ -169,14 +171,13 @@ def _load_catalog(path: str) -> LoopCatalog:
 # --------------------------------------------------------------------------
 # Commands
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     model = _load_model(args.model)
     run = simulate(model, _run_spec(model, args))
-    _emit([run_to_csv(run)], args.out)
-    return EXIT_OK
+    _emit(args.out, [run_to_csv(run)])
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     if args.cap < 1:
         raise _UsageError("--cap must be >= 1")
     if args.stride < 1:
@@ -201,8 +202,7 @@ def cmd_analyze(args) -> int:
     series = score_all(model, run)
     catalog = discover(model, series, cap=args.cap, stride=args.stride, method=args.method)
     if args.method == "exhaustive" and catalog.overflow:
-        print(f"error: cap exceeded; {len(catalog)} loops found before truncation", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise _RuntimeFailure(f"cap exceeded; {len(catalog)} loops found before truncation")
 
     profiles = rank_and_filter(catalog, series, threshold=args.threshold, top=args.top)
     metadata = {
@@ -216,16 +216,14 @@ def cmd_analyze(args) -> int:
         "loops_after_filter": len(profiles),
     }
     ranking = ranking_to_json_dict(profiles, catalog, metadata)
-    if _emit_json(lambda: indented_json_pieces(ranking), args.out) != EXIT_OK:
-        return EXIT_RUNTIME
+    _emit(args.out, _json_pieces(lambda: indented_json_pieces(ranking)))
     if args.csv:
-        _write_text(args.csv, [profiles_to_csv(profiles, run.times)])
+        _emit(args.csv, [profiles_to_csv(profiles, run.times)])
     if args.links_csv:
-        _write_text(args.links_csv, [series_to_csv(series)])
-    return EXIT_OK
+        _emit(args.links_csv, [series_to_csv(series)])
 
 
-def cmd_graph_loops(args) -> int:
+def cmd_graph_loops(args) -> None:
     if args.cap < 1:
         raise _UsageError("--cap must be >= 1")
     edges = _parse_edge_csv(_read_text(args.edges))
@@ -239,19 +237,18 @@ def cmd_graph_loops(args) -> int:
         catalog = LoopCatalog(provenance="strongest-path")
         targets = None if args.start == "all" else [args.start]
         strongest_path_pass(graph, catalog, targets=targets)
-    return _emit_json(catalog.to_json_pieces, args.out)
+    _emit(args.out, _json_pieces(catalog.to_json_pieces))
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     try:
         spec = SyntheticSpec(stocks=args.stocks, density=args.density, seed=args.seed)
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    _emit([gen_synthetic(spec)], args.out)
-    return EXIT_OK
+    _emit(args.out, [gen_synthetic(spec)])
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     if args.top < 1:
         raise _UsageError("--top must be >= 1")
     if not 0.0 <= args.near_miss_ratio <= 1.0:  # also rejects NaN
@@ -272,7 +269,7 @@ def cmd_compare(args) -> int:
     report = compare_catalogs(
         reference, candidate, series, top_n=args.top, near_miss_ratio=args.near_miss_ratio
     )
-    return _emit_json(lambda: indented_json_pieces(report.to_json_dict()), args.out)
+    _emit(args.out, _json_pieces(lambda: indented_json_pieces(report.to_json_dict())))
 
 
 # --------------------------------------------------------------------------
@@ -334,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -345,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except AnalysisError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    except SimulationError as err:
+    except (SimulationError, _RuntimeFailure) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -284,6 +286,77 @@ class TestUnwritableOutput:
         monkeypatch.setattr(Path, "read_text", refuse)
         assert main(["simulate", twostock_path]) == 1
         assert capsys.readouterr().err == f"error: cannot read {twostock_path}: Permission denied\n"
+
+
+class _FailingStdout:
+    """A standard output whose every write and flush raises `error`."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, *args):
+        raise self.error
+
+    writelines = flush = write
+
+
+def _cli_subprocess(*args, **kwargs):
+    """Run the CLI in a new interpreter that imports this checkout's package."""
+    src = str(Path(sl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "sdloops.cli", *args], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+class TestUnwritableStdout:
+    """Standard output is an output like an --out file: a closed pipe, a
+    full disk or a closed stdout is a usage error, exit 1 and one stderr
+    line, whichever command writes to it."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "{model}"],
+            ["analyze", "{model}"],
+            ["graph-loops", "{edges}"],
+            ["gen", "--stocks", "3"],
+            ["compare", "{catalog}", "{catalog}"],
+        ],
+        ids=lambda command: command[0],
+    )
+    @pytest.mark.parametrize("code", [errno.EPIPE, errno.ENOSPC, None], ids=["broken-pipe", "disk-full", "closed"])
+    def test_usage_error(
+        self, command, code, twostock_path, greedy_miss_path, greedy_miss_graph, tmp_path, capsys, monkeypatch
+    ):
+        catalog = tmp_path / "cat.json"
+        catalog.write_text(sl.enumerate_loops(greedy_miss_graph).to_json(), encoding="utf-8")
+        argv = [arg.format(model=twostock_path, edges=greedy_miss_path, catalog=catalog) for arg in command]
+        if code is None:
+            monkeypatch.setattr(sys, "stdout", None)
+        else:
+            monkeypatch.setattr(sys, "stdout", _FailingStdout(OSError(code, os.strerror(code))))
+        assert main(argv) == 1
+        reason = os.strerror(errno.EBADF if code is None else code)
+        assert capsys.readouterr().err == f"error: cannot write standard output: {reason}\n"
+
+    def test_reader_closing_the_pipe(self, tmp_path):
+        model = tmp_path / "m.sdm"
+        model.write_text(sl.gen_synthetic(sl.SyntheticSpec(stocks=6)), encoding="utf-8")
+        proc = _cli_subprocess("analyze", str(model), stdout=subprocess.PIPE)  # over 1 MB, more than a pipe holds
+        proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read().decode("utf-8")
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == "error: cannot write standard output: Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self):
+        with open("/dev/full", "wb") as full:
+            proc = _cli_subprocess("gen", "--stocks", "3", stdout=full)
+            err = proc.stderr.read().decode("utf-8")
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == 1
+        assert err == "error: cannot write standard output: No space left on device\n"
 
 
 class TestGraphLoops:
@@ -711,6 +784,32 @@ class TestNotUtf8:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: not UTF-8 text (byte 0xff at offset {content.index(0xFF)})\n"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is dropped:
+    the output is that of the same file without it."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param("analyze", sl.TWO_STOCK.source, id="model"),
+            pytest.param("graph-loops", sl.GREEDY_MISS_EDGES.source, id="edges"),
+            pytest.param("compare", None, id="catalog"),
+        ],
+    )
+    def test_same_output(self, command, text, greedy_miss_graph, tmp_path, capsys):
+        if text is None:
+            text = sl.enumerate_loops(greedy_miss_graph).to_json()
+        path = tmp_path / "input"
+        argv = [command, str(path)] + ([str(path)] if command == "compare" else [])
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + text.encode("utf-8"))
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == outputs[1].err == ""
+        assert outputs[0].out == outputs[1].out
 
 
 class TestUsage:

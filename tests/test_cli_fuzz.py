@@ -1,16 +1,18 @@
 """Fuzz the CLI boundary: random model text, edge CSV and catalog JSON,
 built from grammar fragments and from raw bytes (invalid UTF-8 included),
 reach `analyze`, `simulate`, `graph-loops` and `compare`.  Whatever the
-input, `main()` returns one of the documented exit codes 0-3 and never
-raises.
+input, and whatever becomes of standard output, `main()` returns one of
+the documented exit codes 0-3 and never raises.
 
 Every generated run span is at most a few dozen steps: a valid long run
 is not a fault, only a slow example."""
 
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -197,6 +199,15 @@ _MIXED_CAND = _catalog_bytes([3, 4], ["c", "d"])
 _LONG_INT_SCORE = b'{"loops": [{"cycle": ["a", "b"], "discovery_score": ' + b"1" * 5000 + b', "found_at": 0}]}'
 
 
+class _BrokenPipe(io.StringIO):
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    writelines = write
+
+
 @settings(max_examples=120, deadline=None)
 @given(_invocations)
 @example((("simulate", "model", "--dt", "nan"), {"model": _GEN3}))
@@ -208,12 +219,13 @@ _LONG_INT_SCORE = b'{"loops": [{"cycle": ["a", "b"], "discovery_score": ' + b"1"
 @example((("compare", "ref", "cand"), {"ref": _MIXED_REF, "cand": _MIXED_CAND}))
 @example((("compare", "ref", "cand", "--model", "model"), {"ref": _MIXED_REF, "cand": _MIXED_CAND, "model": _GEN3}))
 @example((("compare", "ref", "cand"), {"ref": _LONG_INT_SCORE, "cand": _MIXED_CAND}))
+@example((("analyze", "model"), {"model": _GEN3}, _BrokenPipe()))  # an example may bring its own standard output
 def test_main_returns_a_documented_exit_code(invocation):
-    argv, files = invocation
+    argv, files, *stdout = invocation
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in files.items():
             Path(tmp, name).write_bytes(content)
         argv = [str(Path(tmp, arg)) if arg in files else arg for arg in argv]
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        with redirect_stdout(stdout[0] if stdout else io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2, 3)
