@@ -11,6 +11,7 @@ All commands are deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json  # noqa: F401  (unused here; bench/tracing.py rebinds sdloops.cli.json to time json.dumps)
 import math
@@ -74,8 +75,7 @@ def _read_text(path: str) -> str:
 
 
 def _emit(path: str | None, pieces: list[str]) -> None:
-    """Write the pieces one after another to the file at `path`, or to
-    standard output without a path; failing to is a usage error."""
+    """Write the pieces to the file at `path`, or to standard output; failing to is a usage error."""
     try:
         if path:
             with open(path, "w", encoding="utf-8") as f:
@@ -86,13 +86,15 @@ def _emit(path: str | None, pieces: list[str]) -> None:
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
     except OSError as err:
+        if not path:  # else what is still buffered fails again at exit: "Exception ignored", status 120
+            with contextlib.suppress(AttributeError, OSError, ValueError), open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())  # fails on None or an object with no file
         raise _UsageError(f"cannot write {path or 'standard output'}: {err.strerror}") from None
 
 
 def _json_pieces(render) -> list[str]:
-    """`render()`'s JSON pieces (indented_json_pieces, strict) and a final
-    line break, all rendered before anything is written: NaN or Infinity
-    is a runtime failure, and nothing is written."""
+    """`render()`'s JSON pieces (indented_json_pieces, strict) and a final line
+    break, all rendered before anything is written: NaN or Infinity is a runtime failure that writes nothing."""
     try:
         pieces = render()
     except ValueError as err:
@@ -280,9 +282,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run a model and emit the full time series as CSV")
     p.add_argument("model")
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    for flag in ("--start", "--stop", "--dt"):
+        p.add_argument(flag, type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
@@ -293,9 +294,8 @@ def build_parser() -> _Parser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--top", type=int, default=200)
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
+    for flag in ("--start", "--stop", "--dt"):
+        p.add_argument(flag, type=float, default=None)
     p.add_argument("--out", default=None, help="ranking JSON path (default stdout)")
     p.add_argument("--csv", default=None, help="per-step loop score CSV path")
     p.add_argument("--links-csv", default=None, help="per-step link score CSV path")

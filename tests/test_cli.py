@@ -301,9 +301,11 @@ class _FailingStdout:
 
 
 def _cli_subprocess(*args, **kwargs):
-    """Run the CLI in a new interpreter that imports this checkout's package."""
+    """Run the CLI in a new interpreter that imports this checkout's package,
+    with standard output buffered as it is by default."""
     src = str(Path(sl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, a failed write leaves nothing to flush at exit
     return subprocess.Popen([sys.executable, "-m", "sdloops.cli", *args], env=env, stderr=subprocess.PIPE, **kwargs)
 
 
