@@ -12,6 +12,13 @@ items into text with one `str.join` over a `map`.
 `indented_json_pieces(obj)` is the same text as a list of pieces, of
 which `indented_json` is the `"".join`: a writer can put the pieces out
 one after another without ever holding the whole text in one string.
+
+`catalog_json_pieces(head, loops, loop_dict)` is the same text for a loop
+catalog, the program's largest document: each loop record is one piece
+made by one f-string, its indents written out and its cycle encoded with
+one `str.join`.  A record the template does not fit goes through the
+generic writer as `loop_dict(record)`; only the document's opening and
+closing pieces come from `indented_json_pieces`.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 
-__all__ = ["indented_json", "indented_json_pieces"]
+__all__ = ["catalog_json_pieces", "indented_json", "indented_json_pieces"]
 
 _INDENT = "  "
 
@@ -38,6 +45,43 @@ def indented_json_pieces(obj, default=None) -> list[str]:
     piece holds the whole document.  `default` turns an object of another
     type into one the writer knows, or raises TypeError."""
     return _pieces(obj, "\n", 1, default)
+
+
+# a catalog loop is an item of the list that is the document's last value
+_LOOP_NEWLINE = "\n    "
+_NODE_SEP = ",\n        "
+_FOUND_AT = {int: int.__repr__, str: _encode_str}  # exact type -> writer; any other takes the generic writer
+
+
+def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
+    """The text of ``indented_json_pieces({**head, "loops": [loop_dict(r)
+    for r in loops]})`` in pieces, one per loop.  A record whose cycle is
+    a non-empty sequence of str, whose discovery_score is a float and whose
+    found_at is an int or a str is written from one template; any other
+    record is written as `loop_dict(record)` by the generic writer."""
+    pieces = indented_json_pieces({**head, "loops": []})
+    if not loops:
+        return pieces
+    del pieces[-3:]  # the empty list "[]" and the document's closing "\n", "}"
+    pieces.append("[")
+    first = len(pieces)
+    for rec in loops:
+        cycle, score, found_at = rec.cycle, rec.discovery_score, rec.found_at
+        found = _FOUND_AT.get(type(found_at))
+        try:
+            nodes = _NODE_SEP.join(map(_encode_str, cycle))
+        except TypeError:
+            nodes = ""
+        if nodes and found is not None and type(score) is float:
+            pieces.append(
+                f',{_LOOP_NEWLINE}{{\n      "cycle": [\n        {nodes}\n      ],\n      '
+                f'"discovery_score": {_float(score)},\n      "found_at": {found(found_at)}{_LOOP_NEWLINE}}}'
+            )
+        else:
+            pieces.append("," + _LOOP_NEWLINE + _encode(loop_dict(rec), _LOOP_NEWLINE, None))
+    pieces[first] = pieces[first][1:]  # no comma before the first loop
+    pieces += ("\n  ]", "\n}")
+    return pieces
 
 
 def _float(x: float) -> str:

@@ -32,7 +32,7 @@ from operator import getitem
 from typing import Callable, Iterable, Iterator
 
 from ._graphutil import strongly_connected_components
-from ._jsonutil import indented_json_pieces
+from ._jsonutil import catalog_json_pieces
 from .dsl import Digraph, Model
 from .scoring import LinkScoreSeries, composite_scores
 
@@ -152,7 +152,7 @@ class LoopCatalog:
         return len(self._records)
 
     def to_json_dict(self) -> dict:
-        return self._document([_loop_json(rec) for rec in self.loops()])
+        return {**self._head(), "loops": [_loop_json(rec) for rec in self.loops()]}
 
     def to_json(self) -> str:
         """Strict JSON with a two-space indent; NaN or an infinite score
@@ -160,13 +160,12 @@ class LoopCatalog:
         return "".join(self.to_json_pieces())
 
     def to_json_pieces(self) -> list[str]:
-        """to_json's text in pieces, one per loop.  Each loop's dict lives
-        only while its piece is written, so the pieces are the only copy
-        of the document."""
-        return indented_json_pieces(self._document(self.loops()), default=_loop_json)
+        """to_json's text in pieces, one per loop, each written straight
+        from its record, so the pieces are the only copy of the document."""
+        return catalog_json_pieces(self._head(), self.loops(), _loop_json)
 
-    def _document(self, loops: list) -> dict:
-        return {"provenance": self.provenance, "overflow": self.overflow, "loops": loops}
+    def _head(self) -> dict:
+        return {"provenance": self.provenance, "overflow": self.overflow}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopCatalog":
@@ -203,9 +202,7 @@ class LoopCatalog:
 
 
 def _loop_json(rec: LoopRecord) -> dict:
-    """One loop of to_json_dict; the writer's `default` for a LoopRecord."""
-    if type(rec) is not LoopRecord:
-        raise TypeError(f"Object of type {type(rec).__name__} is not JSON serializable")
+    """One loop of to_json_dict."""
     return {"cycle": list(rec.cycle), "discovery_score": rec.discovery_score, "found_at": rec.found_at}
 
 
@@ -258,51 +255,66 @@ def _finite_score(value) -> float:
 # --------------------------------------------------------------------------
 # Exhaustive enumeration (Johnson-style, iterative, SCC preprocessed)
 
-def _elementary_circuits(nodes: tuple[str, ...], adj: dict[str, list[str]]) -> Iterator[list[str]]:
+def _elementary_circuits(nodes: tuple[str, ...], adj: dict[str, dict[str, float]]) -> Iterator[tuple[Cycle, float | None]]:
+    """Each elementary circuit of the graph `adj` (node -> {successor:
+    weight}) once, with the product of its edge weights multiplied from 1
+    along the circuit as `math.prod` would.  The product is None when the
+    circuit need not start at its smallest node: the search starts each
+    circuit at the first node in `nodes` order of its component, which is
+    its smallest only where all names are str and that node is the least."""
     for v in nodes:
-        if v in adj.get(v, ()):
-            yield [v]
+        if v in adj[v]:
+            yield (v,), 1 * adj[v][v]
 
     index = {v: i for i, v in enumerate(nodes)}
-    graph = {v: [w for w in adj.get(v, ()) if w != v] for v in nodes}
+    graph = {v: [w for w in adj[v] if w != v] for v in nodes}
     pending = [c for c in strongly_connected_components(nodes, graph) if len(c) > 1]
     while pending:
         component = pending.pop()
         comp_set = set(component)
-        sub = {v: [w for w in graph[v] if w in comp_set] for v in component}
+        sub = {v: {w: adj[v][w] for w in graph[v] if w in comp_set} for v in component}
         start = min(component, key=index.__getitem__)
-        yield from _circuits_through(sub, start)
+        if all(type(v) is str for v in component) and start == min(component):
+            yield from _circuits_through(sub, start)
+        else:
+            for cycle, _ in _circuits_through(sub, start):
+                yield cycle, None
         comp_set.discard(start)
         remainder = {v: [w for w in sub[v] if w in comp_set] for v in component if v != start}
         order = [v for v in component if v != start]
         pending.extend(c for c in strongly_connected_components(order, remainder) if len(c) > 1)
 
 
-def _circuits_through(adj: dict[str, list[str]], start: str) -> Iterator[list[str]]:
+def _circuits_through(adj: dict[str, dict[str, float]], start: str) -> Iterator[tuple[Cycle, float]]:
     """All elementary circuits through `start` in its strongly connected
-    component (Johnson's blocking scheme, explicit stack)."""
+    component (Johnson's blocking scheme, explicit stack), each starting
+    at `start` and with its edge weights' product, carried along the path
+    as the left fold from 1 in path order."""
     path = [start]
+    prods = [1]  # prods[i]: the product of the first i edges of path
     blocked = {start}
     closed = [False]
     blocked_by: dict[str, set[str]] = {}
-    stack = [iter(adj[start])]
+    stack = [iter(adj[start].items())]
     while stack:
         advanced = False
-        for w in stack[-1]:
+        for w, weight in stack[-1]:
             if w == start:
-                yield path.copy()
+                yield tuple(path), prods[-1] * weight
                 closed[-1] = True
             elif w not in blocked:
                 path.append(w)
+                prods.append(prods[-1] * weight)
                 closed.append(False)
                 blocked.add(w)
-                stack.append(iter(adj[w]))
+                stack.append(iter(adj[w].items()))
                 advanced = True
                 break
         if advanced:
             continue
         stack.pop()
         v = path.pop()
+        prods.pop()
         if closed.pop():
             if closed:
                 closed[-1] = True
@@ -321,27 +333,31 @@ def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCa
     """All elementary circuits, truncated at `cap` with the overflow flag
     set when more exist.  Zero-weight edges are excluded when weights are
     present.  Each loop's discovery score is the signed product of its
-    edge weights (1.0 on unweighted graphs)."""
+    edge weights (1.0 on unweighted graphs), multiplied in the order of
+    its canonical rotation as `WeightedDigraph.cycle_score` does.  The
+    search carries that product along its path; a circuit it finds
+    starting elsewhere than at its smallest node is rotated and scored
+    again."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if isinstance(graph, Digraph):
         graph = WeightedDigraph.from_edges((s, d, 1.0) for s, d in graph.edges)
     # a repeated edge is one successor and weighs its first weight, as in cycle_score
-    adj = {v: list(dict.fromkeys(w for w, weight in graph.out.get(v, ()) if weight != 0.0)) for v in graph.nodes}
-    row = {src: dict(reversed(out)) for src, out in graph.out.items()}  # row[src][dst]: first weight wins
+    row = {src: dict(reversed(out)) for src, out in graph.out.items()}
+    adj = {v: {w: row[v][w] for w, weight in graph.out.get(v, ()) if weight != 0.0} for v in graph.nodes}
     catalog = LoopCatalog(provenance="exhaustive")
     records = catalog._records
     with _gc_paused():
         # Johnson's search yields each circuit once: no lookup before storing
-        for cycle in _elementary_circuits(graph.nodes, adj):
+        for cycle, score in _elementary_circuits(graph.nodes, adj):
             if len(records) >= cap:
                 catalog.overflow = True
                 break
-            pivot = cycle.index(min(cycle))
-            key = tuple(cycle[pivot:] + cycle[:pivot])
-            # the canonical rotation's edges in order: cycle_score's products, bit for bit
-            score = math.prod(map(getitem, map(row.__getitem__, key), key[1:] + key[:1]))
-            records[key] = LoopRecord(key, score, "static")
+            if score is None:  # rotate to the canonical form and multiply in its order
+                pivot = cycle.index(min(cycle))
+                cycle = cycle[pivot:] + cycle[:pivot]
+                score = math.prod(map(getitem, map(adj.__getitem__, cycle), cycle[1:] + cycle[:1]))
+            records[cycle] = LoopRecord(cycle, score, "static")
     return catalog
 
 

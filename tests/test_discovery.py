@@ -146,11 +146,11 @@ def test_enumerate_matches_networkx_oracle(edges):
 
 def _enumerate_with_cycle_score(graph: WeightedDigraph, cap: int) -> LoopCatalog:
     """Reference: every circuit through LoopCatalog.add, scored by the
-    linear-scan cycle_score.  A repeated edge makes the search yield its
-    circuits again; those repeats neither count nor overflow the cap."""
-    adj = {v: [w for w, weight in graph.out.get(v, ()) if weight != 0.0] for v in graph.nodes}
+    linear-scan cycle_score, not by the product the search carries.  A
+    repeated circuit would neither count nor overflow the cap."""
+    adj = {v: {w: weight for w, weight in graph.out.get(v, ()) if weight != 0.0} for v in graph.nodes}
     catalog = LoopCatalog(provenance="exhaustive")
-    for cycle in _elementary_circuits(graph.nodes, adj):
+    for cycle, _ in _elementary_circuits(graph.nodes, adj):
         if cycle in catalog:
             continue
         if len(catalog) >= cap:
@@ -176,6 +176,12 @@ _weights = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False) | st.sample
 @example(rows=[(0, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)], cap=1)
 @example(rows=[(0, 1, 0.0), (0, 1, -2.0), (1, 0, 3.0), (1, 0, 3.5), (1, 1, 0.5)], cap=5)
 @example(rows=[(0, 1, 0.1), (1, 2, 0.2), (2, 0, 0.3), (2, 1, 0.7)], cap=60)
+# products that overflow to inf or underflow to 0.0 part of the way round: listed from
+# v1, the search starts at v1 and its carried product is not the canonical one
+@example(rows=[(1, 2, 1e200), (2, 0, 1e200), (0, 1, 1e-200)], cap=5)
+@example(rows=[(1, 2, 1e-200), (2, 0, 1e-200), (0, 1, 1e200)], cap=5)
+@example(rows=[(0, 1, 1e200), (1, 2, 1e200), (2, 0, 1e-200), (1, 0, 1e-300), (2, 2, 1e308)], cap=5)
+@example(rows=[(0, 1, 1e-200), (1, 2, 1e-200), (2, 0, 1e200), (2, 1, -1e300)], cap=5)
 def test_enumerate_scores_are_cycle_scores_bit_for_bit(rows, cap):
     graph = WeightedDigraph.from_edges((f"v{i}", f"v{j}", w) for i, j, w in rows)
     catalog = enumerate_loops(graph, cap=cap)
@@ -185,6 +191,27 @@ def test_enumerate_scores_are_cycle_scores_bit_for_bit(rows, cap):
     reference = _enumerate_with_cycle_score(graph, cap)
     assert _records(catalog) == _records(reference)
     assert catalog.overflow == reference.overflow
+
+
+def test_enumerate_rotates_circuits_that_start_after_their_smallest_node():
+    # listed from "b", so the search starts each circuit at "b"; (0.1 * 0.2) * 0.3 from "b"
+    # is 0.006000000000000001, the canonical (0.3 * 0.1) * 0.2 from "a" is 0.006
+    graph = WeightedDigraph.from_edges(
+        [("b", "c", 0.1), ("c", "a", 0.2), ("a", "b", 0.3), ("b", "a", 0.9), ("c", "b", 1.1), ("a", "c", 0.35)]
+    )
+    assert graph.nodes == ("b", "c", "a")
+    adj = {v: dict(out) for v, out in graph.out.items()}
+    assert [score for _, score in _elementary_circuits(graph.nodes, adj)] == [None] * 5
+    catalog = enumerate_loops(graph)
+    assert {rec.cycle for rec in catalog.loops()} == {
+        ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c"), ("a", "c", "b")
+    }
+    for rec in catalog.loops():
+        assert rec.cycle == canonical_form(rec.cycle)
+        assert repr(rec.discovery_score) == repr(graph.cycle_score(rec.cycle))
+    scores = {rec.cycle: rec.discovery_score for rec in catalog.loops()}
+    assert repr(scores["a", "b", "c"]) == "0.006"
+    assert _records(catalog) == _records(_enumerate_with_cycle_score(graph, 1000))
 
 
 def test_enumerate_scores_on_a_complete_graph_are_cycle_scores():
@@ -427,6 +454,52 @@ def _catalogs(draw):
     return catalog
 
 
+def _catalog_of(**fields) -> LoopCatalog:
+    return LoopCatalog.from_json_dict({"loops": [{"cycle": ["a", "b"], "discovery_score": 0.5, **fields}]})
+
+
+def _catalog_with_int_score() -> LoopCatalog:
+    catalog = LoopCatalog()
+    catalog.add(("a", "b"), 2, 0)
+    catalog.add(("c",), 0.25, "static")
+    return catalog
+
+
+_found_at_values = st.one_of(
+    st.just("static"),
+    st.integers(min_value=-5, max_value=500),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=2),
+    _names,
+)
+
+
+@st.composite
+def _catalogs_beyond_the_template(draw):
+    """Catalogs with loops the writer's template does not fit, mixed with
+    loops it does: int node names (listed by enumerate_loops), found_at
+    values that are neither int nor str (read by from_json_dict), and int
+    scores (added directly); any of them may be empty."""
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), _weights), max_size=12))
+        return enumerate_loops(WeightedDigraph.from_edges(rows), cap=40)
+    names = draw(st.lists(_names, min_size=1, max_size=5, unique=True))
+    loops, seen = [], set()
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        cycle = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+        if canonical_form(cycle) not in seen:
+            seen.add(canonical_form(cycle))
+            score = draw(st.floats(allow_nan=False, allow_infinity=False))
+            loops.append({"cycle": cycle, "discovery_score": score, "found_at": draw(_found_at_values)})
+    catalog = LoopCatalog.from_json_dict({"provenance": draw(st.sampled_from(["exhaustive", "unknown"])), "loops": loops})
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        cycle = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+        catalog.add(cycle, draw(st.integers(min_value=-(10**20), max_value=10**20)), draw(_found_at_values))
+    return catalog
+
+
 class TestCatalogJson:
     def test_schema_round_trip(self, greedy_miss_graph):
         catalog = enumerate_loops(greedy_miss_graph)
@@ -483,6 +556,19 @@ class TestCatalogJson:
     def test_pieces_are_the_text_of_json_dumps(self, catalog):
         expected = json.dumps(catalog.to_json_dict(), indent=2, allow_nan=False)
         assert "".join(catalog.to_json_pieces()) == catalog.to_json() == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(_catalogs_beyond_the_template())
+    @example(_catalog_with_int_score())
+    @example(_catalog_of(found_at=True))
+    @example(_catalog_of(found_at=None))
+    @example(_catalog_of(found_at=1.5))
+    @example(_catalog_of(found_at=[1]))
+    @example(enumerate_loops(WeightedDigraph.from_edges([(1, 2, 0.5), (2, 1, 3.0), (2, 2, -1.0)])))
+    @example(LoopCatalog())
+    def test_loops_the_template_does_not_fit_are_the_text_of_json_dumps(self, catalog):
+        expected = json.dumps(catalog.to_json_dict(), indent=2, allow_nan=False)
+        assert "".join(catalog.to_json_pieces()) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(_catalogs())
