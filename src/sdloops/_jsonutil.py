@@ -1,17 +1,15 @@
 """The one JSON writer of the program.
 
-`indented_json(obj)` returns exactly the text of
+`indented_json_pieces(obj)` returns exactly the text of
 ``json.dumps(obj, indent=2, allow_nan=False)`` for the types the program
-emits: dicts with str keys, lists, str, int, float, bool and None.  With
-an indent, `json.dumps` leaves its C encoder for a pure-Python one that
-yields one small string per token; this writer instead joins each
-container once, encodes strings with the C function
-`encode_basestring_ascii`, and turns a list of only str or only float
-items into text with one `str.join` over a `map`.
-
-`indented_json_pieces(obj)` is the same text as a list of pieces, of
-which `indented_json` is the `"".join`: a writer can put the pieces out
-one after another without ever holding the whole text in one string.
+emits (dicts with str keys, lists, str, int, float, bool and None) as a
+list of pieces: a writer can put the pieces out one after another
+without ever holding the whole text in one string.  With an indent,
+`json.dumps` leaves its C encoder for a pure-Python one that yields one
+small string per token; this writer instead joins each container once,
+encodes strings with the C function `encode_basestring_ascii`, and turns
+a list of only str or only float items into text with one `str.join`
+over a `map`.
 
 `catalog_json_pieces(head, loops, loop_dict)` is the same text for a loop
 catalog, the program's largest document: each loop record is one piece
@@ -26,15 +24,9 @@ from __future__ import annotations
 import math
 from json.encoder import encode_basestring_ascii as _encode_str
 
-__all__ = ["catalog_json_pieces", "indented_json", "indented_json_pieces"]
+__all__ = ["catalog_json_pieces", "indented_json_pieces"]
 
 _INDENT = "  "
-
-
-def indented_json(obj) -> str:
-    """Text of ``json.dumps(obj, indent=2, allow_nan=False)``.  NaN and
-    infinities raise ValueError, other types TypeError."""
-    return "".join(indented_json_pieces(obj))
 
 
 def indented_json_pieces(obj, default=None) -> list[str]:
@@ -43,7 +35,8 @@ def indented_json_pieces(obj, default=None) -> list[str]:
     container directly inside it are split at their items, so an item two
     levels down (one loop of a catalog or a ranking) is one piece and no
     piece holds the whole document.  `default` turns an object of another
-    type into one the writer knows, or raises TypeError."""
+    type into one the writer knows, or raises TypeError.  NaN and
+    infinities raise ValueError."""
     return _pieces(obj, "\n", 1, default)
 
 

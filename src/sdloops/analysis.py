@@ -7,6 +7,14 @@ magnitudes across the whole catalog (per step), so relative scores sum to
 1 wherever any loop is active and to 0 everywhere else.  In heuristic
 mode the denominator is necessarily the *discovered* set; outputs carry
 that note in their metadata.
+
+In a gated model most loops are inactive at most steps, because one of
+their edges scores 0.  So ranking scores each loop only at its active
+steps, found by and-ing per-edge bitmasks of nonzero scores, sums the
+catalog totals and averages over those steps alone, and builds full
+profiles only for the loops it keeps.  The products and sums are those
+of `loop_score_series` and a per-step fold, in the same order, so the
+bits are the same.
 """
 
 from __future__ import annotations
@@ -14,6 +22,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import asdict, dataclass
+from functools import reduce
+from itertools import compress, islice
+from operator import and_, itemgetter
 
 from .discovery import Cycle, LoopCatalog, LoopRecord, canonical_form
 from .dsl import format_number
@@ -103,22 +114,86 @@ def classify_polarity(score_series: list[float]) -> tuple[str, str | None]:
     return "mixed", None
 
 
+class _ScoreIndex:
+    """One run's link scores laid out for scoring many loops: each edge's
+    position, the per-step rows of all edge scores, and per edge an int
+    whose byte k is 1 where the edge's score at step k is nonzero (so
+    -0.0 counts as zero, as it does in `loop_score_series`)."""
+
+    __slots__ = ("n", "position", "rows", "masks")
+
+    def __init__(self, series: LinkScoreSeries):
+        columns = list(series.series.values())
+        self.n = series.n
+        self.position = dict(zip(series.series, range(len(columns))))
+        self.rows = list(zip(*columns))
+        self.masks = [int.from_bytes(bytes(map(bool, column)), "little") for column in columns]
+
+
+def _active_scores(cycle: Cycle, index: _ScoreIndex) -> tuple[list[int], list]:
+    """The steps at which every edge of the loop is nonzero, and the loop's
+    score at each: the product of the same tuple `loop_score_series`
+    multiplies, so the same bits.  The loop's score is 0.0 at every other
+    step."""
+    ids = []
+    for edge in zip(cycle, cycle[1:] + cycle[:1]):
+        i = index.position.get(edge)
+        if i is None:
+            raise AnalysisError(f"loop edge {edge[0]} -> {edge[1]} is not in the score series")
+        ids.append(i)
+    active = reduce(and_, map(index.masks.__getitem__, ids)).to_bytes(index.n + 1, "little")
+    steps = list(compress(range(index.n + 1), active))
+    # itemgetter of one index returns the item itself; of a slice, a 1-tuple
+    get = itemgetter(*ids) if len(ids) > 1 else itemgetter(slice(ids[0], ids[0] + 1))
+    return steps, list(map(math.prod, map(get, map(index.rows.__getitem__, steps))))
+
+
+def _shares(steps: list[int], scores: list, totals: list):
+    """A loop's relative scores at its active steps."""
+    # a product that underflows to +-0.0 at an active step can meet a total of 0
+    return (abs(s) / t if t > 0.0 else 0.0 for s, t in zip(scores, map(totals.__getitem__, steps)))
+
+
+def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, list, list, list[float]]:
+    """The catalog's records, each loop's (active steps, scores there),
+    the per-step catalog totals, and each loop's avg_contribution, in
+    catalog order.  Totals are summed over the active loops only, in
+    catalog order from the int 0: an inactive loop would add 0.0, and
+    x + 0.0 == x for x >= 0."""
+    index = _ScoreIndex(series)
+    records = catalog.loops()
+    active = [_active_scores(rec.cycle, index) for rec in records]
+    totals = [0] * (series.n + 1)
+    for steps, scores in active:
+        for k, s in zip(steps, scores):
+            totals[k] = totals[k] + abs(s)
+    # step 0 is not in the average
+    avgs = [
+        left_sum(islice(_shares(steps, scores, totals), 1 if steps and steps[0] == 0 else 0, None)) / series.n
+        for steps, scores in active
+    ]
+    return records, active, totals, avgs
+
+
+def _profile(record: LoopRecord, active: tuple, totals: list, avg: float, n: int) -> LoopProfile:
+    steps, scores = active
+    score_series = [0.0] * (n + 1)
+    relative = [0.0] * (n + 1)
+    for k, s, share in zip(steps, scores, _shares(steps, scores, totals)):
+        score_series[k] = s
+        relative[k] = share
+    polarity, note = classify_polarity(score_series)
+    return LoopProfile(record, score_series, relative, avg, polarity, note)
+
+
 def build_profiles(catalog: LoopCatalog, series: LinkScoreSeries) -> list[LoopProfile]:
     """One profile per catalog loop, in catalog order.  Each loop's score
-    series is computed once; the relative series divide its magnitudes by
-    the per-step catalog total.  avg_contribution averages the relative
-    series over steps 1..n, counting all-inactive steps as zero."""
-    records = catalog.loops()
-    scores = [loop_score_series(rec, series) for rec in records]
-    totals = [left_sum(map(abs, column)) for column in zip(*scores)]
-    profiles = []
-    n = series.n
-    for rec, row in zip(records, scores):
-        relative = [abs(s) / total if total > 0.0 else 0.0 for s, total in zip(row, totals)]
-        avg = left_sum(relative[1:]) / n
-        polarity, note = classify_polarity(row)
-        profiles.append(LoopProfile(rec, row, relative, avg, polarity, note))
-    return profiles
+    series is computed once, and only at the steps where the loop is
+    active; the relative series divide its magnitudes by the per-step
+    catalog total.  avg_contribution averages the relative series over
+    steps 1..n, counting all-inactive steps as zero."""
+    records, active, totals, avgs = _score_loops(catalog, series)
+    return [_profile(rec, act, totals, avg, series.n) for rec, act, avg in zip(records, active, avgs)]
 
 
 def rank_and_filter(
@@ -130,17 +205,18 @@ def rank_and_filter(
     """Profiles sorted by descending average contribution (ties broken by
     cycle for determinism), dropping loops below `threshold` and keeping
     at most `top`.  A NaN average (a loop score that overflowed) ranks
-    first and is never dropped, so it reaches the output and is reported."""
+    first and is never dropped, so it reaches the output and is reported.
+    Profiles are built only for the loops that are kept."""
     if not 0.0 <= threshold < 1.0:
         raise ValueError("threshold must be in [0, 1)")
     if top is not None and top < 1:
         raise ValueError("top must be >= 1")
-    profiles = build_profiles(catalog, series)
-    profiles.sort(
-        key=lambda p: (-math.inf if math.isnan(p.avg_contribution) else -p.avg_contribution, p.cycle)
+    records, active, totals, avgs = _score_loops(catalog, series)
+    ranked = sorted(
+        range(len(records)), key=lambda i: (-math.inf if math.isnan(avgs[i]) else -avgs[i], records[i].cycle)
     )
-    kept = [p for p in profiles if not p.avg_contribution < threshold]
-    return kept[:top] if top is not None else kept
+    kept = [i for i in ranked if not avgs[i] < threshold]
+    return [_profile(records[i], active[i], totals, avgs[i], series.n) for i in kept[:top]]
 
 
 def _cyclic_overlap_ratio(a: Cycle, b: Cycle) -> float:
@@ -181,10 +257,10 @@ def compare_catalogs(
     loop in cycle order with the largest longest-common-segment overlap
     is a near miss if that overlap is above 0 and clears `near_miss_ratio`.
     """
+    count = slice(top_n).indices(len(reference))[1]  # as many as a slice [:top_n] keeps, top_n < 0 too
     if series is not None:
-        top = [p.record for p in rank_and_filter(reference, series)[:top_n]]
+        top = [p.record for p in rank_and_filter(reference, series, top=max(count, 1))[:count]]
     else:
-        count = slice(top_n).indices(len(reference))[1]  # as many as a slice [:top_n] keeps, top_n < 0 too
         top = heapq.nsmallest(count, reference.loops(), key=lambda rec: (-abs(rec.discovery_score), rec.cycle))
     candidate_cycles = candidate.cycles()
     candidates_in_order = sorted(candidate_cycles)

@@ -102,18 +102,6 @@ class WeightedDigraph:
         stockset = frozenset(stocks) if stocks is not None else frozenset(nodes)
         return cls(nodes, stockset & frozenset(nodes), out)
 
-    def weight(self, src: str, dst: str) -> float:
-        for node, w in self.out.get(src, ()):
-            if node == dst:
-                return w
-        raise KeyError((src, dst))
-
-    def cycle_score(self, cycle: Cycle) -> float:
-        score = 1.0
-        for i, src in enumerate(cycle):
-            score *= self.weight(src, cycle[(i + 1) % len(cycle)])
-        return score
-
 
 @dataclass(frozen=True, slots=True)
 class LoopRecord:
@@ -334,15 +322,14 @@ def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCa
     set when more exist.  Zero-weight edges are excluded when weights are
     present.  Each loop's discovery score is the signed product of its
     edge weights (1.0 on unweighted graphs), multiplied in the order of
-    its canonical rotation as `WeightedDigraph.cycle_score` does.  The
-    search carries that product along its path; a circuit it finds
-    starting elsewhere than at its smallest node is rotated and scored
-    again."""
+    its canonical rotation.  The search carries that product along its
+    path; a circuit it finds starting elsewhere than at its smallest node
+    is rotated and scored again."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if isinstance(graph, Digraph):
         graph = WeightedDigraph.from_edges((s, d, 1.0) for s, d in graph.edges)
-    # a repeated edge is one successor and weighs its first weight, as in cycle_score
+    # a repeated edge is one successor and weighs its first weight in the outbound list
     row = {src: dict(reversed(out)) for src, out in graph.out.items()}
     adj = {v: {w: row[v][w] for w, weight in graph.out.get(v, ()) if weight != 0.0} for v in graph.nodes}
     catalog = LoopCatalog(provenance="exhaustive")

@@ -5,7 +5,7 @@ from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sdloops as sl
 from sdloops import analysis
@@ -174,10 +174,73 @@ def _bits(values):
     return [repr(v) for v in values]
 
 
-@settings(max_examples=100, deadline=None)
-@given(_scored_graphs())
-def test_profiles_match_stepwise_reference(series):
+def _series(**columns):
+    """A hand-built series over steps 0..n; each keyword names an edge by
+    its two nodes, so ab=[...] is the edge a -> b."""
+    n = len(next(iter(columns.values()))) - 1
+    series = {(name[0], name[1]): column for name, column in columns.items()}
+    return LinkScoreSeries(tuple(series), tuple(float(k) for k in range(n + 1)), series)
+
+
+def _missing_edge_error(catalog, series):
+    """The message loop_score_series raises for the first catalog loop
+    with an edge absent from the series, or None."""
+    for rec in catalog.loops():
+        for edge in zip(rec.cycle, rec.cycle[1:] + rec.cycle[:1]):
+            if edge not in series.series:
+                return f"loop edge {edge[0]} -> {edge[1]} is not in the score series"
+    return None
+
+
+def _ranked_bits(profiles):
+    return [(p.cycle, repr(p.avg_contribution), _bits(p.score_series), _bits(p.relative_series)) for p in profiles]
+
+
+def _reference_ranking(catalog, series, threshold, top):
+    """Loops whose average is NaN first, by cycle; then the rest at or
+    above the threshold, by descending average and then cycle."""
+    raw, rel = _reference_relative(catalog, series)
+    avg = {cycle: _left_sum(r[1:]) / series.n for cycle, r in rel.items()}
+    overflowed = sorted(c for c in avg if math.isnan(avg[c]))
+    ranked = sorted((c for c in avg if avg[c] >= threshold), key=lambda c: (-avg[c], c))
+    return [(c, repr(avg[c]), _bits(raw[c]), _bits(rel[c])) for c in (overflowed + ranked)[:top]]
+
+
+_small_cycles = st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _scored_graphs(),
+    st.lists(_small_cycles, max_size=2),
+    st.sampled_from([0.0, 0.25, 0.6]),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+)
+# every product underflows to 0.0 at an active step, so the total there is 0
+@example(_series(ab=[0.0, 1e-200], ba=[0.0, 1e-200]), [], 0.0, None)
+# a product underflows to -0.0 beside an active loop
+@example(_series(ab=[0.0, -1e-200], ba=[0.0, 1e-200], cd=[0.0, 0.5], dc=[0.0, 0.5]), [], 0.0, None)
+# a product overflows to inf: its avg is NaN, it ranks first and no threshold drops it
+@example(_series(ab=[0.0, 1e300], ba=[0.0, 1e300], cd=[0.0, 0.5], dc=[0.0, 0.5]), [], 0.6, 1)
+# -0.0 in a column makes the loop inactive at that step
+@example(_series(ab=[-0.0, 2.0, -0.0], ba=[3.0, -0.0, 0.5], bb=[-0.0, 1.5, 2.0]), [], 0.0, 2)
+# a self loop is a one-edge cycle
+@example(_series(aa=[0.0, -2.0, 0.5], ab=[0.0, 1.0, 1.0], ba=[0.0, 1.0, 0.5]), [], 0.25, None)
+# a nonzero score at step 0 counts in the relative series, not in the average
+@example(_series(ab=[2.0, 1.0], ba=[0.5, 1.0], cc=[4.0, 0.0]), [], 0.0, None)
+# missing edges: the first loop in catalog order that has one is reported
+@example(_series(ab=[0.0, 1.0]), [("b", "c"), ("a", "b")], 0.0, None)
+def test_profiles_match_stepwise_reference(series, extra, threshold, top):
     catalog = enumerate_loops(WeightedDigraph.from_edges((src, dst, 1.0) for src, dst in series.edges))
+    for cycle in extra:
+        catalog.add(cycle, 1.0, "static")
+    error = _missing_edge_error(catalog, series)
+    if error is not None:
+        for call in (sl.build_profiles, sl.relative_scores, sl.rank_and_filter):
+            with pytest.raises(AnalysisError) as info:
+                call(catalog, series)
+            assert str(info.value) == error
+        return
     raw, rel = _reference_relative(catalog, series)
     profiles = sl.build_profiles(catalog, series)
     assert [p.cycle for p in profiles] == [rec.cycle for rec in catalog.loops()]
@@ -190,20 +253,25 @@ def test_profiles_match_stepwise_reference(series):
     relative = sl.relative_scores(catalog, series)
     assert {cycle: _bits(r) for cycle, r in relative.items()} == {cycle: _bits(r) for cycle, r in rel.items()}
 
+    ranked = sl.rank_and_filter(catalog, series, threshold, top)
+    assert _ranked_bits(ranked) == _reference_ranking(catalog, series, threshold, top)
+    assert all((p.polarity, p.note) == classify_polarity(raw[p.cycle]) for p in ranked)
+    assert _ranked_bits(ranked) == _ranked_bits(sl.rank_and_filter(catalog, series, threshold)[:top])
+
 
 class TestOneScorePass:
-    """Ranking and comparing compute each reference loop's series once."""
+    """Ranking and comparing compute each reference loop's scores once."""
 
     @pytest.fixture()
     def scored_cycles(self, monkeypatch):
         calls = []
-        original = analysis.loop_score_series
+        original = analysis._active_scores
 
-        def counting(loop, series):
-            calls.append(loop.cycle)
-            return original(loop, series)
+        def counting(cycle, index):
+            calls.append(cycle)
+            return original(cycle, index)
 
-        monkeypatch.setattr(analysis, "loop_score_series", counting)
+        monkeypatch.setattr(analysis, "_active_scores", counting)
         return calls
 
     def test_rank_and_filter(self, scored_cycles, arms_catalog, arms_series):

@@ -9,7 +9,11 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdloops._jsonutil import indented_json, indented_json_pieces
+from sdloops._jsonutil import indented_json_pieces
+
+
+def indented_json(obj):
+    return "".join(indented_json_pieces(obj))
 
 
 def _reference(obj):
