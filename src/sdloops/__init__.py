@@ -55,11 +55,9 @@ from .fixtures import (
     TWO_STOCK,
     Fixture,
     SyntheticSpec,
-    all_fixtures,
     gen_synthetic,
 )
 from .scoring import (
-    CompositeWeights,
     LinkScoreSeries,
     composite_scores,
     link_score_step,
@@ -73,7 +71,6 @@ __all__ = [
     "AnalysisError",
     "ARMS_RACE",
     "CompletenessReport",
-    "CompositeWeights",
     "Diagnostic",
     "Digraph",
     "Fixture",
@@ -92,7 +89,6 @@ __all__ = [
     "TWO_STOCK",
     "Variable",
     "WeightedDigraph",
-    "all_fixtures",
     "build_profiles",
     "canonical_form",
     "classify_polarity",

@@ -29,15 +29,14 @@ __all__ = ["catalog_json_pieces", "indented_json_pieces"]
 _INDENT = "  "
 
 
-def indented_json_pieces(obj, default=None) -> list[str]:
-    """The text of ``json.dumps(obj, indent=2, allow_nan=False,
-    default=default)`` in pieces.  The top-level container and each
-    container directly inside it are split at their items, so an item two
-    levels down (one loop of a catalog or a ranking) is one piece and no
-    piece holds the whole document.  `default` turns an object of another
-    type into one the writer knows, or raises TypeError.  NaN and
+def indented_json_pieces(obj) -> list[str]:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False)`` in
+    pieces.  The top-level container and each container directly inside
+    it are split at their items, so an item two levels down (one loop of
+    a catalog or a ranking) is one piece and no piece holds the whole
+    document.  An object of another type raises TypeError; NaN and
     infinities raise ValueError."""
-    return _pieces(obj, "\n", 1, default)
+    return _pieces(obj, "\n", 1)
 
 
 # a catalog loop is an item of the list that is the document's last value
@@ -71,7 +70,7 @@ def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
                 f'"discovery_score": {_float(score)},\n      "found_at": {found(found_at)}{_LOOP_NEWLINE}}}'
             )
         else:
-            pieces.append("," + _LOOP_NEWLINE + _encode(loop_dict(rec), _LOOP_NEWLINE, None))
+            pieces.append("," + _LOOP_NEWLINE + _encode(loop_dict(rec), _LOOP_NEWLINE))
     pieces[first] = pieces[first][1:]  # no comma before the first loop
     pieces += ("\n  ]", "\n}")
     return pieces
@@ -93,16 +92,16 @@ _SCALARS = {
 }
 
 
-def _encode(obj, newline: str, default) -> str:
+def _encode(obj, newline: str) -> str:
     """`obj` as one JSON string whose closing bracket follows `newline` (a
     line break and the indent of the line `obj` starts on)."""
     scalar = _SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
-    return "".join(_pieces(obj, newline, 0, default))
+    return "".join(_pieces(obj, newline, 0))
 
 
-def _pieces(obj, newline: str, depth: int, default) -> list[str]:
+def _pieces(obj, newline: str, depth: int) -> list[str]:
     """`obj` as JSON pieces, closing bracket after `newline`.  Each item
     of a container is one piece at `depth` 0; at `depth` d it is split into
     pieces itself, its own items at depth d - 1."""
@@ -118,10 +117,10 @@ def _pieces(obj, newline: str, depth: int, default) -> list[str]:
         # encode_basestring_ascii raises TypeError on a non-str key
         if depth:
             for key, value in obj.items():
-                parts += (sep, _encode_str(key), ": ", *_pieces(value, inner, depth - 1, default))
+                parts += (sep, _encode_str(key), ": ", *_pieces(value, inner, depth - 1))
         else:
             for key, value in obj.items():
-                parts += (sep, _encode_str(key), ": ", _encode(value, inner, default))
+                parts += (sep, _encode_str(key), ": ", _encode(value, inner))
         parts[1] = inner
         parts += (newline, "}")
         return parts
@@ -144,16 +143,14 @@ def _pieces(obj, newline: str, depth: int, default) -> list[str]:
         parts = ["["]
         if depth:
             for item in obj:
-                parts += (sep, *_pieces(item, inner, depth - 1, default))
+                parts += (sep, *_pieces(item, inner, depth - 1))
         else:
             for item in obj:
-                parts += (sep, _encode(item, inner, default))
+                parts += (sep, _encode(item, inner))
         parts[1] = inner
         parts += (newline, "]")
         return parts
     for base in (str, float, int):
         if isinstance(obj, base):
             return [_SCALARS[base](obj)]
-    if default is not None:
-        return _pieces(default(obj), newline, depth, default)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable input
-paths, unwritable output paths or standard output), 2 input
+paths, unwritable or repeated output paths, standard output), 2 input
 diagnostics (parse/validate failures, malformed or non-UTF-8 input
 files), 3 runtime failure (aborted simulation, exhausted loop cap in
 forced exhaustive mode, a non-finite number in JSON output).
@@ -188,6 +188,10 @@ def cmd_analyze(args) -> None:
         raise _UsageError("--threshold must be in [0, 1)")
     if args.top < 1:
         raise _UsageError("--top must be >= 1")
+    named: dict[str, str] = {}  # real path -> the first flag that names it
+    for flag, path in (("--out", args.out), ("--csv", args.csv), ("--links-csv", args.links_csv)):
+        if path and (other := named.setdefault(os.path.realpath(path), flag)) != flag:
+            raise _UsageError(f"{other} and {flag} name the same file: {path}")
     for path in filter(None, (args.out, args.csv, args.links_csv)):  # check all before writing any
         existed = os.path.exists(path)  # False for a dangling symlink, whose target the open creates
         if existed and not (os.path.isfile(path) or os.path.isdir(path)):
@@ -228,6 +232,8 @@ def cmd_analyze(args) -> None:
 def cmd_graph_loops(args) -> None:
     if args.cap < 1:
         raise _UsageError("--cap must be >= 1")
+    if args.start != "all" and args.method != "strongest-path":
+        raise _UsageError("--start needs --method strongest-path")
     edges = _parse_edge_csv(_read_text(args.edges))
     graph = WeightedDigraph.from_edges(edges)
     if args.start != "all" and args.start not in graph.out:
@@ -303,7 +309,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("graph-loops", help="find loops in a static weighted edge list")
     p.add_argument("edges", help="CSV file with header src,dst,weight")
-    p.add_argument("--start", default="all", help="restrict search starts to one node")
+    p.add_argument("--start", default="all", help="restrict search starts to one node (strongest-path only)")
     p.add_argument("--method", choices=["exhaustive", "strongest-path"], default="exhaustive")
     p.add_argument("--cap", type=int, default=1000)
     p.add_argument("--out", default=None)

@@ -157,14 +157,20 @@ class LoopCatalog:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopCatalog":
-        """Inverse of to_json_dict: nodes are strings, scores finite JSON numbers,
-        and no loop repeats in any rotation, or MalformedCycleError says what is wrong."""
+        """Inverse of to_json_dict: provenance is a string, overflow a bool, nodes
+        are strings, scores finite JSON numbers, and no loop repeats in any
+        rotation, or MalformedCycleError says what is wrong."""
         if not isinstance(data, dict):
             raise MalformedCycleError("the top level is not a JSON object")
         loops = data.get("loops", [])
         if not isinstance(loops, list):
             raise MalformedCycleError("malformed loop entry (loops is not a list)")
-        catalog = cls(provenance=data.get("provenance", "unknown"), overflow=bool(data.get("overflow", False)))
+        provenance, overflow = data.get("provenance", "unknown"), data.get("overflow", False)
+        if type(provenance) is not str:
+            raise MalformedCycleError(f"provenance {provenance!r} is not a string")
+        if type(overflow) is not bool:
+            raise MalformedCycleError(f"overflow {overflow!r} is not true or false")
+        catalog = cls(provenance=provenance, overflow=overflow)
         for item in loops:
             if not isinstance(item, dict):
                 raise MalformedCycleError("malformed loop entry (an entry of loops is not an object)")
@@ -429,12 +435,11 @@ def step_graph(series: LinkScoreSeries, k: int, stocks: Iterable[str], sort: boo
     )
 
 
-def composite_graph(series: LinkScoreSeries, stocks: Iterable[str], mode: str = "max") -> WeightedDigraph:
+def composite_graph(series: LinkScoreSeries, stocks: Iterable[str]) -> WeightedDigraph:
     """Static graph of the edges that are ever active, weighted by the
-    composite scores."""
-    weights = composite_scores(series, mode).weights
+    max composite scores."""
     return WeightedDigraph.from_edges(
-        ((src, dst, w) for (src, dst), w in weights.items() if w != 0.0),
+        ((src, dst, w) for (src, dst), w in composite_scores(series, "max").items() if w != 0.0),
         stocks=stocks,
     )
 

@@ -207,10 +207,6 @@ class Digraph:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def in_edges(self, dst: str) -> list[str]:
-        """Sources of the edges into `dst`, by a linear scan of the edges."""
-        return [s for s, d in self.edges if d == dst]
-
 
 # --------------------------------------------------------------------------
 # Lexer

@@ -16,7 +16,6 @@ __all__ = [
     "TWO_STOCK",
     "ARMS_RACE",
     "GREEDY_MISS_EDGES",
-    "all_fixtures",
     "SyntheticSpec",
     "gen_synthetic",
     "stock_projection_circuit_count",
@@ -108,10 +107,6 @@ c,b,10
         "(score 100) that plays no part in the story."
     ),
 )
-
-
-def all_fixtures() -> tuple[Fixture, ...]:
-    return (TWO_STOCK, ARMS_RACE, GREEDY_MISS_EDGES)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .engine import RunResult, compile_equation, left_sum
 
 __all__ = [
     "LinkScoreSeries",
-    "CompositeWeights",
     "link_score_step",
     "score_all",
     "composite_scores",
@@ -52,20 +51,6 @@ class LinkScoreSeries:
     @property
     def n(self) -> int:
         return len(self.times) - 1
-
-
-@dataclass
-class CompositeWeights:
-    """One static signed weight per edge.
-
-    max mode: the largest-magnitude score over the run (sign of that
-    observation, earliest step on ties).  avg mode: the mean score
-    magnitude over steps 1..n, signed by the majority sign of the nonzero
-    observations.  A weight is 0 iff the edge is never active.
-    """
-
-    mode: str
-    weights: dict[Edge, float]
 
 
 def _sign(x: float) -> float:
@@ -145,8 +130,14 @@ def score_all(model: Model, run: RunResult) -> LinkScoreSeries:
     return LinkScoreSeries(edges, run.times, series)
 
 
-def composite_scores(series: LinkScoreSeries, mode: str) -> CompositeWeights:
-    """Collapse a score series into one static weight per edge."""
+def composite_scores(series: LinkScoreSeries, mode: str) -> dict[Edge, float]:
+    """Collapse a score series into one static signed weight per edge.
+
+    max mode: the largest-magnitude score over the run (sign of that
+    observation, earliest step on ties).  avg mode: the mean score
+    magnitude over steps 1..n, signed by the majority sign of the nonzero
+    observations.  A weight is 0 iff the edge is never active.
+    """
     if mode not in ("max", "avg"):
         raise ValueError(f"mode must be 'max' or 'avg', got {mode!r}")
     n = series.n
@@ -163,7 +154,7 @@ def composite_scores(series: LinkScoreSeries, mode: str) -> CompositeWeights:
                 pos = sum(1 for s in scores[1:] if s > 0)
                 neg = sum(1 for s in scores[1:] if s < 0)
                 weights[edge] = mag if pos >= neg else -mag
-    return CompositeWeights(mode, weights)
+    return weights
 
 
 def series_to_csv(series: LinkScoreSeries) -> str:

@@ -191,7 +191,7 @@ def test_criterion_05_literal_every_active_step(twostock):
 
 def test_criterion_06_two_stock_composites(twostock):
     _, _, series = twostock
-    avg = sl.composite_scores(series, "avg").weights
+    avg = sl.composite_scores(series, "avg")
     expected = {
         ("Stock_1", "Flow_1"): 0.5,
         ("Stock_2", "Flow_2"): 0.9,
@@ -200,7 +200,7 @@ def test_criterion_06_two_stock_composites(twostock):
     }
     for edge, want in expected.items():
         assert abs(abs(avg[edge]) - want) <= 0.05, (edge, avg[edge])
-    maxw = sl.composite_scores(series, "max").weights
+    maxw = sl.composite_scores(series, "max")
     assert all(w == 1.0 for w in maxw.values())
     print("PASS criterion 6: avg composites within 0.05 of 0.5/0.9/0.1/0.5; max composites exactly 1")
 

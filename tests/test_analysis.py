@@ -309,7 +309,7 @@ class TestPolarity:
     def test_polarity_matches_sign_product_for_constant_sign_edges(self, arms_catalog, arms_series):
         # every fixture edge keeps one sign whenever active, so loop
         # polarity must equal the product of those signs
-        weights = sl.composite_scores(arms_series, "max").weights
+        weights = sl.composite_scores(arms_series, "max")
         for profile in sl.build_profiles(arms_catalog, arms_series):
             sign = 1.0
             cycle = profile.cycle

@@ -250,6 +250,27 @@ class TestUnwritableOutput:
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, paths, message",
+        [
+            (("--out", "--csv"), ("x", "x"), "--out and --csv name the same file: x"),
+            (("--out", "--links-csv"), ("x", "./x"), "--out and --links-csv name the same file: ./x"),
+            (("--csv", "--links-csv"), ("d/../x", "x"), "--csv and --links-csv name the same file: x"),
+        ],
+    )
+    def test_one_file_named_twice_is_a_usage_error(self, flags, paths, message, twostock_path, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        (work / "d").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        argv = ["analyze", twostock_path]
+        for flag, path in zip(flags, paths):
+            argv += [flag, path]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert [p.name for p in work.iterdir()] == ["d"]
+
     @pytest.mark.parametrize("flag", ["--csv", "--links-csv"])
     def test_existing_output_is_left_as_it_was(self, flag, twostock_path, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -391,7 +412,16 @@ class TestGraphLoops:
         assert "malformed weight" in capsys.readouterr().err
 
     def test_unknown_start_node(self, greedy_miss_path, capsys):
-        assert main(["graph-loops", greedy_miss_path, "--start", "zz"]) == 2
+        assert main(["graph-loops", greedy_miss_path, "--start", "zz", "--method", "strongest-path"]) == 2
+        assert "start node zz is not in the graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", [[], ["--method", "exhaustive"]])
+    def test_start_without_strongest_path_is_a_usage_error(self, method, tmp_path, capsys):
+        # checked before the edge file is read: the file does not exist
+        assert main(["graph-loops", str(tmp_path / "missing.csv"), "--start", "c", *method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --start needs --method strongest-path\n"
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_weight(self, weight, tmp_path, capsys):
@@ -645,6 +675,8 @@ class TestCompareMalformedCatalog:
                 "loop a -> b is listed twice",
             ),
             ('{"loops": 5}', "malformed loop entry"),
+            ('{"overflow": "false", "loops": []}', "overflow 'false' is not true or false"),
+            ('{"provenance": 5, "loops": []}', "provenance 5 is not a string"),
             pytest.param(
                 '{"loops": [{"cycle": ["a"], "discovery_score": ' + "1" * 5000 + ', "found_at": 0}]}',
                 # json.loads refuses the literal where int() has a digit limit

@@ -555,6 +555,22 @@ class TestCatalogJson:
             with pytest.raises(ValueError, match="is not a finite number"):
                 LoopCatalog.from_json(text)
 
+    @pytest.mark.parametrize(
+        "head, problem",
+        [
+            ({"overflow": "false"}, "overflow 'false' is not true or false"),
+            ({"overflow": 1}, "overflow 1 is not true or false"),
+            ({"overflow": None}, "overflow None is not true or false"),
+            ({"provenance": 5}, "provenance 5 is not a string"),
+            ({"provenance": ["exhaustive"]}, r"provenance \['exhaustive'\] is not a string"),
+        ],
+    )
+    def test_head_fields_must_have_their_json_types(self, head, problem):
+        with pytest.raises(MalformedCycleError, match=problem):
+            LoopCatalog.from_json_dict({**head, "loops": []})
+        catalog = LoopCatalog.from_json_dict({"provenance": "exhaustive", "overflow": True, "loops": []})
+        assert (catalog.provenance, catalog.overflow) == ("exhaustive", True)
+
     @pytest.mark.parametrize("second", [["a", "b", "c"], ["c", "a", "b"]])
     def test_repeated_loop_is_rejected(self, second):
         loops = [{"cycle": cycle, "discovery_score": 1.0, "found_at": 0} for cycle in (["b", "c", "a"], second)]

@@ -164,7 +164,7 @@ class TestArmsRaceScores:
         consts = {v.name for v in arms_model.by_kind("const")}
         graph = sl.dependency_graph(arms_model)
         for dst in ("target_A", "target_B", "target_C", "build_A", "build_B", "build_C"):
-            srcs = [s for s in graph.in_edges(dst) if s not in consts]
+            srcs = [s for s, d in graph.edges if d == dst and s not in consts]
             for k in range(2, run.n + 1):
                 dz = run.values[dst][k] - run.values[dst][k - 1]
                 if dz == 0.0:
@@ -217,11 +217,11 @@ class TestTransferFlow:
 
 class TestComposites:
     def test_two_stock_max_mode_all_ones(self, two_stock_series):
-        weights = sl.composite_scores(two_stock_series, "max").weights
+        weights = sl.composite_scores(two_stock_series, "max")
         assert all(w == 1.0 for w in weights.values())
 
     def test_two_stock_avg_mode(self, two_stock_series):
-        weights = sl.composite_scores(two_stock_series, "avg").weights
+        weights = sl.composite_scores(two_stock_series, "avg")
         assert weights[("Stock_1", "Flow_1")] == pytest.approx(6 / 12)
         assert weights[("Stock_2", "Flow_2")] == pytest.approx(11 / 12)
         assert weights[("Stock_1", "Flow_2")] == pytest.approx(1 / 12)
@@ -237,24 +237,24 @@ class TestComposites:
         )
         series = sl.score_all(model, sl.simulate(model))
         for mode in ("max", "avg"):
-            weights = sl.composite_scores(series, mode).weights
+            weights = sl.composite_scores(series, mode)
             assert all(w == 0.0 for w in weights.values())
             assert all(math.copysign(1.0, w) == 1.0 for w in weights.values())
 
     def test_composite_dominance(self, arms_series):
-        wmax = sl.composite_scores(arms_series, "max").weights
-        wavg = sl.composite_scores(arms_series, "avg").weights
+        wmax = sl.composite_scores(arms_series, "max")
+        wavg = sl.composite_scores(arms_series, "avg")
         for edge in arms_series.edges:
             assert all(abs(s) <= abs(wmax[edge]) + 1e-15 for s in arms_series.series[edge])
             assert abs(wavg[edge]) <= abs(wmax[edge]) + 1e-15
 
     def test_max_mode_sign_from_largest_observation(self, arms_series):
-        weights = sl.composite_scores(arms_series, "max").weights
+        weights = sl.composite_scores(arms_series, "max")
         for party in "ABC":
             assert weights[(party, f"build_{party}")] < 0.0
 
     def test_avg_mode_majority_sign(self, arms_series):
-        weights = sl.composite_scores(arms_series, "avg").weights
+        weights = sl.composite_scores(arms_series, "avg")
         for party in "ABC":
             assert weights[(party, f"build_{party}")] < 0.0
             assert weights[(f"target_{party}", f"build_{party}")] > 0.0
@@ -490,6 +490,6 @@ def test_composite_weights_match_reference(columns):
         {e: [0.0] + c + [0.0] * (n - len(c)) for e, c in zip(edges, columns)},
     )
     for mode in ("max", "avg"):
-        weights = sl.composite_scores(series, mode).weights
+        weights = sl.composite_scores(series, mode)
         for e in edges:
             assert repr(weights[e]) == repr(reference_composite_weight(series.series[e], mode))
