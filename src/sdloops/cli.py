@@ -180,9 +180,15 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_analyze(args) -> None:
-    if args.cap < 1:
+    if args.cap is not None and args.method == "strongest-path":
+        raise _UsageError("--cap needs --method auto or exhaustive")
+    if args.stride is not None and args.method == "exhaustive":
+        raise _UsageError("--stride needs --method auto or strongest-path")
+    cap = 1000 if args.cap is None else args.cap
+    stride = 1 if args.stride is None else args.stride
+    if cap < 1:
         raise _UsageError("--cap must be >= 1")
-    if args.stride < 1:
+    if stride < 1:
         raise _UsageError("--stride must be >= 1")
     if not 0.0 <= args.threshold < 1.0:
         raise _UsageError("--threshold must be in [0, 1)")
@@ -206,7 +212,7 @@ def cmd_analyze(args) -> None:
     model = _load_model(args.model)
     run = simulate(model, _run_spec(model, args))
     series = score_all(model, run)
-    catalog = discover(model, series, cap=args.cap, stride=args.stride, method=args.method)
+    catalog = discover(model, series, cap=cap, stride=stride, method=args.method)
     if args.method == "exhaustive" and catalog.overflow:
         raise _RuntimeFailure(f"cap exceeded; {len(catalog)} loops found before truncation")
 
@@ -214,8 +220,8 @@ def cmd_analyze(args) -> None:
     metadata = {
         "model": args.model,
         "method": args.method,
-        "cap": args.cap,
-        "stride": args.stride,
+        "cap": cap,
+        "stride": stride,
         "threshold": args.threshold,
         "top": args.top,
         "loops_discovered": len(catalog),
@@ -230,17 +236,20 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_graph_loops(args) -> None:
-    if args.cap < 1:
+    if args.cap is not None and args.method != "exhaustive":
+        raise _UsageError("--cap needs --method exhaustive")
+    cap = 1000 if args.cap is None else args.cap
+    if cap < 1:
         raise _UsageError("--cap must be >= 1")
     if args.start != "all" and args.method != "strongest-path":
         raise _UsageError("--start needs --method strongest-path")
     edges = _parse_edge_csv(_read_text(args.edges))
     graph = WeightedDigraph.from_edges(edges)
-    if args.start != "all" and args.start not in graph.out:
+    if args.start != "all" and args.start not in graph.nodes:
         raise ModelError([Diagnostic(f"start node {args.start} is not in the graph")])
 
     if args.method == "exhaustive":
-        catalog = enumerate_loops(graph, cap=args.cap)
+        catalog = enumerate_loops(graph, cap=cap)
     else:
         catalog = LoopCatalog(provenance="strongest-path")
         targets = None if args.start == "all" else [args.start]
@@ -296,8 +305,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="simulate, score links, discover loops, rank contributions")
     p.add_argument("model")
     p.add_argument("--method", choices=["auto", "exhaustive", "strongest-path"], default="auto")
-    p.add_argument("--cap", type=int, default=1000)
-    p.add_argument("--stride", type=int, default=1)
+    # None tells a flag that was not given: each is read by two of the three methods
+    p.add_argument("--cap", type=int, default=None, help="enumeration cap (default 1000; not with strongest-path)")
+    p.add_argument("--stride", type=int, default=None, help="sweep every Nth step (default 1; not with exhaustive)")
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--top", type=int, default=200)
     for flag in ("--start", "--stop", "--dt"):
@@ -311,7 +321,7 @@ def build_parser() -> _Parser:
     p.add_argument("edges", help="CSV file with header src,dst,weight")
     p.add_argument("--start", default="all", help="restrict search starts to one node (strongest-path only)")
     p.add_argument("--method", choices=["exhaustive", "strongest-path"], default="exhaustive")
-    p.add_argument("--cap", type=int, default=1000)
+    p.add_argument("--cap", type=int, default=None, help="enumeration cap (default 1000; exhaustive only)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_graph_loops)
 

@@ -11,11 +11,14 @@ Two routes into the same registry format:
   it reaches with a score magnitude strictly below that node's best so
   far (or with score zero).  The search is greedy and demonstrably
   incomplete, but it finds strong loops fast and its cost does not depend
-  on the total circuit count.
+  on the total circuit count.  It runs on `WeightedDigraph`'s integer
+  node ids and carries each path's magnitude beside its signed score.
 
 `discover` wires them together per run: enumerate on the max-composite
 graph first, and only if that overflows the cap, sweep the per-step
-weighted graphs with the heuristic.
+weighted graphs with the heuristic.  Each step's graph is built by
+`step_graph` straight from the score columns, through the node numbering
+that `LinkScoreSeries` computes once per run.
 
 Everything here uses explicit stacks: no recursion, so 10,000-variable
 chains are fine.
@@ -74,12 +77,21 @@ def canonical_form(cycle: Iterable[str]) -> Cycle:
 
 @dataclass
 class WeightedDigraph:
-    """Directed graph with one signed weight per edge and per-node
-    outbound lists kept sorted by descending weight magnitude."""
+    """Directed graph with one signed weight per edge, on integer node
+    ids: node i is `nodes[i]`, and `adj[i]` lists its outbound edges as
+    `(|w|, w, dst_id)`, sorted by descending magnitude with ties in
+    insertion order (or left in insertion order, when built unsorted)."""
 
     nodes: tuple[str, ...]
     stocks: frozenset[str]
-    out: dict[str, list[tuple[str, float]]]
+    adj: list[list[tuple[float, float, int]]]
+
+    @property
+    def out(self) -> dict[str, list[tuple[str, float]]]:
+        """The outbound lists by node name, `(dst, w)` in `adj` order,
+        built anew on each read."""
+        nodes = self.nodes
+        return {v: [(nodes[d], w) for _, w, d in edges] for v, edges in zip(nodes, self.adj)}
 
     @classmethod
     def from_edges(
@@ -91,16 +103,26 @@ class WeightedDigraph:
         """Build from (src, dst, weight) triples; node order is first
         appearance.  With sort=False the outbound lists keep insertion
         order (only useful for measuring what the sorting buys)."""
-        out: dict[str, list[tuple[str, float]]] = {}
+        ids: dict[str, int] = {}
+        adj: list[list[tuple[float, float, int]]] = []
         for src, dst, w in edges:
-            out.setdefault(src, []).append((dst, float(w)))
-            out.setdefault(dst, [])
+            s = ids.setdefault(src, len(ids))
+            if s == len(adj):
+                adj.append([])
+            d = ids.setdefault(dst, len(ids))
+            if d == len(adj):
+                adj.append([])
+            w = float(w)
+            adj[s].append((abs(w), w, d))
+        return cls._from_adjacency(tuple(ids), adj, stocks, sort)
+
+    @classmethod
+    def _from_adjacency(cls, nodes, adj, stocks, sort: bool) -> "WeightedDigraph":
         if sort:
-            for targets in out.values():
-                targets.sort(key=lambda e: -abs(e[1]))
-        nodes = tuple(out)
+            for edges in adj:
+                edges.sort(key=lambda e: -e[0])  # stable: ties keep insertion order
         stockset = frozenset(stocks) if stocks is not None else frozenset(nodes)
-        return cls(nodes, stockset & frozenset(nodes), out)
+        return cls(nodes, stockset & frozenset(nodes), adj)
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,9 +357,10 @@ def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCa
         raise ValueError("cap must be >= 1")
     if isinstance(graph, Digraph):
         graph = WeightedDigraph.from_edges((s, d, 1.0) for s, d in graph.edges)
+    out = graph.out
     # a repeated edge is one successor and weighs its first weight in the outbound list
-    row = {src: dict(reversed(out)) for src, out in graph.out.items()}
-    adj = {v: {w: row[v][w] for w, weight in graph.out.get(v, ()) if weight != 0.0} for v in graph.nodes}
+    row = {src: dict(reversed(edges)) for src, edges in out.items()}
+    adj = {v: {w: row[v][w] for w, weight in out[v] if weight != 0.0} for v in graph.nodes}
     catalog = LoopCatalog(provenance="exhaustive")
     records = catalog._records
     with _gc_paused():
@@ -375,50 +398,61 @@ def strongest_path_pass(
     so far.  Zero scores never expand, so all-zero graphs yield nothing.
     Best scores persist across targets within the pass and reset between
     passes.  Returns the number of node expansions.
+
+    The search runs on the graph's integer ids and carries each path's
+    magnitude beside its signed score, as the product of the edge
+    magnitudes: `abs(c * w) == abs(c) * abs(w)` bit for bit, because
+    rounding to nearest is symmetric in sign.  The signed score is
+    multiplied only where a node expands or a loop closes, and ids become
+    names only for `registry` and `on_visit`.
     """
-    best: dict[str, float] = {v: 0.0 for v in graph.nodes}
+    nodes, adj = graph.nodes, graph.adj
     if targets is None:
-        target_list = [v for v in graph.nodes if v in graph.stocks]
+        starts: Iterable[int] = [i for i, v in enumerate(nodes) if v in graph.stocks]
     else:
-        target_list = list(targets)
+        starts = map({v: i for i, v in enumerate(nodes)}.__getitem__, targets)
+    best = [0.0] * len(nodes)  # the largest magnitude each node was expanded with
+    visiting = [False] * len(nodes)
     visits = 0
 
-    for target in target_list:
+    for target in starts:
         if 1.0 < best[target]:
             continue
         best[target] = 1.0
-        visiting = {target}
+        visiting[target] = True
         path = [target]
         carried = [1.0]
-        stack = [iter(graph.out.get(target, ()))]
+        mags = [1.0]
+        stack = [iter(adj[target])]
         visits += 1
         if on_visit is not None:
-            on_visit(target, 1.0, 0)
+            on_visit(nodes[target], 1.0, 0)
         while stack:
-            advanced = False
-            for node, weight in stack[-1]:
+            reach = mags[-1]
+            for w_mag, weight, node in stack[-1]:
+                mag = reach * w_mag
+                if node == target:  # the target is on the path for its whole search
+                    if mag != 0.0:
+                        registry.add(tuple([nodes[i] for i in path]), carried[-1] * weight, found_at)
+                    continue
+                if mag < best[node] or mag == 0.0 or visiting[node]:
+                    continue
                 score = carried[-1] * weight
-                if node in visiting:
-                    if node == target and score != 0.0:
-                        registry.add(tuple(path), score, found_at)
-                    continue
-                if score == 0.0 or abs(score) < best[node]:
-                    continue
-                best[node] = abs(score)
-                visiting.add(node)
+                best[node] = mag
+                visiting[node] = True
                 path.append(node)
                 carried.append(score)
-                stack.append(iter(graph.out.get(node, ())))
+                mags.append(mag)
+                stack.append(iter(adj[node]))
                 visits += 1
                 if on_visit is not None:
-                    on_visit(node, score, len(path) - 1)
-                advanced = True
+                    on_visit(nodes[node], score, len(path) - 1)
                 break
-            if advanced:
-                continue
-            stack.pop()
-            visiting.discard(path.pop())
-            carried.pop()
+            else:
+                stack.pop()
+                visiting[path.pop()] = False
+                carried.pop()
+                mags.pop()
     return visits
 
 
@@ -426,13 +460,28 @@ def strongest_path_pass(
 # Per-run discovery
 
 def step_graph(series: LinkScoreSeries, k: int, stocks: Iterable[str], sort: bool = True) -> WeightedDigraph:
-    """Weighted graph of the edges active at step k (zero scores pruned)."""
-    scores = ((src, dst, series.series[(src, dst)][k]) for src, dst in series.edges)
-    return WeightedDigraph.from_edges(
-        ((src, dst, s) for src, dst, s in scores if s != 0.0),
-        stocks=stocks,
-        sort=sort,
-    )
+    """Weighted graph of the edges active at step k (zero scores pruned),
+    built from the series' node numbering.  The step's own ids follow
+    first appearance among its active edges, in `series.edges` order."""
+    names, columns = series.numbering
+    local = [-1] * len(names)  # run-wide id -> this step's id
+    nodes: list[str] = []
+    adj: list[list[tuple[float, float, int]]] = []
+    for src, dst, column in columns:
+        w = column[k]
+        if w != 0.0:
+            s = local[src]
+            if s < 0:
+                s = local[src] = len(nodes)
+                nodes.append(names[src])
+                adj.append([])
+            d = local[dst]
+            if d < 0:
+                d = local[dst] = len(nodes)
+                nodes.append(names[dst])
+                adj.append([])
+            adj[s].append((abs(w), w, d))
+    return WeightedDigraph._from_adjacency(tuple(nodes), adj, stocks, sort)
 
 
 def composite_graph(series: LinkScoreSeries, stocks: Iterable[str]) -> WeightedDigraph:

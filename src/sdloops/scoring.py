@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dsl import Model, dependency_graph, format_number
 from .engine import RunResult, compile_equation, left_sum
@@ -51,6 +52,19 @@ class LinkScoreSeries:
     @property
     def n(self) -> int:
         return len(self.times) - 1
+
+    @cached_property
+    def numbering(self) -> tuple[tuple[str, ...], tuple[tuple[int, int, list[float]], ...]]:
+        """The run's node ids: the edge endpoints in first-appearance order
+        over `edges`, and per edge `(src_id, dst_id, column)`, where each
+        column is the list object held in `series`.  Computed once; a
+        series is not changed after construction."""
+        ids: dict[str, int] = {}
+        columns = tuple(
+            (ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids)), self.series[(src, dst)])
+            for src, dst in self.edges
+        )
+        return tuple(ids), columns
 
 
 def _sign(x: float) -> float:

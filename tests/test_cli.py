@@ -180,6 +180,26 @@ class TestAnalyze:
         assert main(["analyze", twostock_path, "--threshold", "1.0"]) == 1
         assert main(["analyze", twostock_path, "--top", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "strongest-path", "--cap", "5"], "--cap needs --method auto or exhaustive"),
+            (["--method", "exhaustive", "--stride", "2"], "--stride needs --method auto or strongest-path"),
+        ],
+    )
+    def test_flag_the_method_never_reads_is_a_usage_error(self, flags, message, tmp_path, capsys):
+        # checked before the model is read: the file does not exist
+        assert main(["analyze", str(tmp_path / "missing.sdm"), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_flags_not_given_report_their_defaults(self, twostock_path, capsys):
+        for method in ("auto", "exhaustive", "strongest-path"):
+            assert main(["analyze", twostock_path, "--method", method]) == 0
+            metadata = json.loads(capsys.readouterr().out)["metadata"]
+            assert (metadata["cap"], metadata["stride"]) == (1000, 1)
+
 
 # every link score is finite (1.4e294 and 1.3e281 at step 1), the product
 # along f -> s -> z is not; the loop g -> s stays finite
@@ -422,6 +442,13 @@ class TestGraphLoops:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --start needs --method strongest-path\n"
+
+    def test_cap_with_strongest_path_is_a_usage_error(self, tmp_path, capsys):
+        # the heuristic never reads --cap; checked before the edge file is read
+        assert main(["graph-loops", str(tmp_path / "missing.csv"), "--method", "strongest-path", "--cap", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cap needs --method exhaustive\n"
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_weight(self, weight, tmp_path, capsys):

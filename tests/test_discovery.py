@@ -5,11 +5,14 @@ import gc
 import json
 import math
 import random
+import struct
+import sys
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 import sdloops as sl
 from sdloops.discovery import (
     LoopCatalog,
@@ -23,6 +26,7 @@ from sdloops.discovery import (
     step_graph,
     strongest_path_pass,
 )
+from sdloops.scoring import LinkScoreSeries
 
 
 def weight(graph: WeightedDigraph, src: str, dst: str) -> float:
@@ -670,3 +674,159 @@ class TestGcPaused:
         assert len(back) == len(catalog) == 1500
         assert in_enumerate in ([], [0])
         assert collections in ([], [0])
+
+
+# --------------------------------------------------------------------------
+# The strongest-path search against its frozen string-keyed reference
+
+# equal magnitudes of both signs, zeros of both signs, and magnitudes whose
+# products underflow to 0.0, go subnormal or overflow to inf along a path
+_sweep_weights = st.sampled_from(
+    [0.5, -0.5, 2.0, -2.0, 1.0, -1.0, 0.0, -0.0, 1e-200, -1e-200, 1e200, -1e200, 1e308, 5e-324, 1e-160]
+) | st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def _sweep_graphs(draw):
+    """Edge rows over up to 6 nodes, repeated edges and self loops
+    included; the stocks (None: every node); the targets (None: the
+    stocks), drawn from the nodes with repeats; and whether to sort."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _sweep_weights), max_size=24))
+    edges = [(f"v{i}", f"v{j}", w) for i, j, w in rows]
+    present = list(dict.fromkeys(v for src, dst, _ in edges for v in (src, dst)))
+    stocks = draw(st.none() | st.lists(st.sampled_from([f"v{i}" for i in range(n)]), unique=True))
+    targets = None
+    if present and draw(st.booleans()):
+        targets = draw(st.lists(st.sampled_from(present), max_size=6))
+    return edges, stocks, targets, draw(st.booleans())
+
+
+def _pass_result(kernel, graph, targets=None, found_at="static", registry=None) -> tuple:
+    """A pass's expansions, its registry's records in insertion order and
+    its on_visit trace (name, repr(score), depth); and the expansions and
+    records of the same pass run without on_visit."""
+    registry = registry if registry is not None else LoopCatalog(provenance="strongest-path")
+    trace = []
+    visits = kernel(graph, registry, targets=targets, found_at=found_at,
+                    on_visit=lambda node, score, depth: trace.append((node, repr(score), depth)))
+    quiet = LoopCatalog(provenance="strongest-path")
+    quiet_visits = kernel(graph, quiet, targets=targets, found_at=found_at)
+    return visits, _records(registry), trace, quiet_visits, _records(quiet)
+
+
+def _graph_state(graph) -> tuple:
+    return graph.nodes, graph.stocks, [(v, [(d, repr(w)) for d, w in out]) for v, out in graph.out.items()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sweep_graphs())
+# ties in |w| leave a's outbound order to insertion order
+@example(([("a", "b", 0.5), ("a", "c", -0.5), ("b", "a", 1.0), ("c", "a", 1.0), ("c", "b", 1.0)], None, None, True))
+# a hub reached with equal magnitudes from two stocks expands both times
+@example(([("S1", "H", 1.0), ("H", "S1", 1.0), ("S2", "H", 1.0), ("H", "S2", 1.0)], ["S1", "S2"], None, True))
+# products that overflow to inf, and inf times a zero weight: nan closes a loop
+@example(([("a", "b", 1e200), ("b", "c", 1e200), ("c", "a", 0.0), ("c", "a", 2.0), ("b", "a", -1e-320)], None, None, True))
+@example(([("a", "a", -3.0), ("a", "b", 5e-324), ("b", "a", 0.5), ("b", "a", 1e308)], None, ["b", "a", "b"], False))
+def test_strongest_path_pass_matches_the_string_keyed_reference(case):
+    edges, stocks, targets, sort = case
+    graph = WeightedDigraph.from_edges(edges, stocks=stocks, sort=sort)
+    frozen = reference.graph_from_edges(edges, stocks=stocks, sort=sort)
+    assert _graph_state(graph) == _graph_state(frozen)
+    assert _pass_result(strongest_path_pass, graph, targets, 7) == _pass_result(
+        reference.strongest_path_pass, frozen, targets, 7
+    )
+
+
+def _late_stock_series(series: LinkScoreSeries, stocks: list[str], steps) -> LinkScoreSeries:
+    """A copy of `series` where, at each of `steps`, every edge into the
+    stock that is first in the run-wide numbering scores 0.  The stock's
+    flows list it first, so at those steps it appears only through its
+    own outbound edges, after other stocks."""
+    names, _ = series.numbering
+    first = next(v for v in names if v in stocks)
+    columns = {edge: list(column) for edge, column in series.series.items()}
+    for k in steps:
+        for src, dst in series.edges:
+            if dst == first:
+                columns[(src, dst)][k] = 0.0
+    return LinkScoreSeries(series.edges, series.times, columns)
+
+
+def _reference_sweep(series: LinkScoreSeries, stocks, stride: int, sort: bool = True) -> tuple[list, LoopCatalog]:
+    registry = LoopCatalog(provenance="strongest-path")
+    visits = [
+        reference.strongest_path_pass(reference.step_graph(series, k, stocks, sort=sort), registry, found_at=k)
+        for k in range(1, series.n + 1, stride)
+    ]
+    return visits, registry
+
+
+def _check_sweep_against_reference(model, series: LinkScoreSeries) -> None:
+    stocks = [v.name for v in model.by_kind("stock")]
+    names, columns = series.numbering
+    assert [(names[s], names[d]) for s, d, _ in columns] == list(series.edges)
+    assert all(column is series.series[edge] for (_, _, column), edge in zip(columns, series.edges))
+    for stride in (1, 3):
+        ref_visits, ref_registry = _reference_sweep(series, stocks, stride)
+        assert _records(sl.discover(model, series, method="strongest-path", stride=stride)) == _records(ref_registry)
+        registry = LoopCatalog(provenance="strongest-path")
+        visits = [
+            strongest_path_pass(step_graph(series, k, stocks), registry, found_at=k)
+            for k in range(1, series.n + 1, stride)
+        ]
+        assert (visits, _records(registry)) == (ref_visits, _records(ref_registry))
+    for k in range(1, series.n + 1, 2):
+        for sort in (True, False):
+            graph, frozen = step_graph(series, k, stocks, sort=sort), reference.step_graph(series, k, stocks, sort=sort)
+            assert _graph_state(graph) == _graph_state(frozen)
+            assert _pass_result(strongest_path_pass, graph, found_at=k) == _pass_result(
+                reference.strongest_path_pass, frozen, found_at=k
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from([0.5, 1.0]),
+    st.integers(min_value=0, max_value=10_000),
+    st.sets(st.integers(min_value=1, max_value=12), max_size=6),
+)
+def test_sweep_matches_the_string_keyed_reference(stocks, density, seed, late_steps):
+    model = sl.parse_model(sl.gen_synthetic(sl.SyntheticSpec(stocks, density, seed)))
+    series = sl.score_all(model, sl.simulate(model, sl.RunSpec(0.0, 12.0, 1.0)))
+    names = [v.name for v in model.by_kind("stock")]
+    _check_sweep_against_reference(model, _late_stock_series(series, names, sorted(late_steps)))
+
+
+def test_sweep_matches_the_reference_where_a_stock_appears_late():
+    model = sl.parse_model(sl.gen_synthetic(sl.SyntheticSpec(stocks=5, density=1.0, seed=3)))
+    series = sl.score_all(model, sl.simulate(model, sl.RunSpec(0.0, 12.0, 1.0)))
+    stocks = [v.name for v in model.by_kind("stock")]
+    late = _late_stock_series(series, stocks, range(1, 13, 2))
+    run_wide = [v for v in late.numbering[0] if v in stocks]
+    for k in range(1, 13):
+        step_order = [v for v in step_graph(late, k, stocks).nodes if v in stocks]
+        assert (step_order == run_wide) == (k % 2 == 0), k
+    _check_sweep_against_reference(model, late)
+
+
+_float_extremes = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0),
+     sys.float_info.max, -sys.float_info.max, math.nextafter(sys.float_info.max, 0.0),
+     math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5, 3.0]
+)
+
+
+@settings(max_examples=1000)
+@given(st.floats() | _float_extremes, st.floats() | _float_extremes)
+@example(5e-324, 0.5)
+@example(-5e-324, -0.5)
+@example(sys.float_info.max, -1.0000000000000002)
+@example(math.inf, 0.0)
+@example(3e-162, -3e-162)
+def test_magnitude_of_a_product_is_the_product_of_magnitudes(c, w):
+    """The identity that lets the search carry |score| and call no abs():
+    rounding to nearest is symmetric in sign, so the two agree bit for bit."""
+    left, right = abs(c * w), abs(c) * abs(w)
+    assert (math.isnan(left) and math.isnan(right)) or struct.pack("<d", left) == struct.pack("<d", right)
