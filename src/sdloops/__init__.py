@@ -39,7 +39,6 @@ from .dsl import (
     Variable,
     dependency_graph,
     parse_model,
-    print_model,
     validate,
 )
 from .engine import (
@@ -103,7 +102,6 @@ __all__ = [
     "link_score_step",
     "loop_score_series",
     "parse_model",
-    "print_model",
     "profiles_to_csv",
     "rank_and_filter",
     "ranking_to_json_dict",

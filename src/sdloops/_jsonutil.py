@@ -15,16 +15,18 @@ over a `map`.
 catalog, the program's largest document: each loop record is one piece
 made by one f-string, its indents written out and its cycle encoded with
 one `str.join`.  A record the template does not fit goes through the
-generic writer as `loop_dict(record)`; only the document's opening and
-closing pieces come from `indented_json_pieces`.
+generic writer as `loop_dict(record)`.  `ranking_json_pieces` does the
+same for a ranking: a loop's series are "0.0" but at the steps its
+active-step mask marks, the only ones that go through `float.__repr__`.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _encode_str
 
-__all__ = ["catalog_json_pieces", "indented_json_pieces"]
+__all__ = ["catalog_json_pieces", "indented_json_pieces", "ranking_json_pieces"]
 
 _INDENT = "  "
 
@@ -51,12 +53,9 @@ def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
     a non-empty sequence of str, whose discovery_score is a float and whose
     found_at is an int or a str is written from one template; any other
     record is written as `loop_dict(record)` by the generic writer."""
-    pieces = indented_json_pieces({**head, "loops": []})
     if not loops:
-        return pieces
-    del pieces[-3:]  # the empty list "[]" and the document's closing "\n", "}"
-    pieces.append("[")
-    first = len(pieces)
+        return indented_json_pieces({**head, "loops": []})
+    pieces = []
     for rec in loops:
         cycle, score, found_at = rec.cycle, rec.discovery_score, rec.found_at
         found = _FOUND_AT.get(type(found_at))
@@ -71,9 +70,64 @@ def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
             )
         else:
             pieces.append("," + _LOOP_NEWLINE + _encode(loop_dict(rec), _LOOP_NEWLINE))
-    pieces[first] = pieces[first][1:]  # no comma before the first loop
-    pieces += ("\n  ]", "\n}")
-    return pieces
+    return _around_loops({**head, "loops": loops}, pieces)
+
+
+_ENTRY_NEWLINE = "\n      "  # the line break and indent of a loop's fields
+_SERIES = ("score_series", "relative_series")  # the lists that a loop's mask describes
+
+
+def ranking_json_pieces(ranking: dict, masks) -> list[str]:
+    """The text of ``indented_json_pieces(ranking)`` in pieces, one per
+    loop.  masks[i] is None or the active-step mask of ranking["loops"][i]
+    (`LoopProfile.active`): a byte per step, 0 where both its series hold
+    0.0.  A loop with a mask is one f-string whose series are written from
+    the mask; a loop without one is written by the generic writer."""
+    if not ranking["loops"]:
+        return indented_json_pieces(ranking)
+    pieces = []
+    for entry, mask in zip(ranking["loops"], masks, strict=True):
+        if mask is None or type(entry) is not dict or not entry:
+            pieces.append("," + _LOOP_NEWLINE + _encode(entry, _LOOP_NEWLINE))
+            continue
+        n, steps = len(mask), list(compress(range(len(mask)), mask))
+        fields = (
+            _encode_str(key) + ": " + (_masked(v, steps, n) if key in _SERIES else _encode(v, _ENTRY_NEWLINE))
+            for key, v in entry.items()
+        )
+        pieces.append(f",{_LOOP_NEWLINE}{{{_ENTRY_NEWLINE}{(',' + _ENTRY_NEWLINE).join(fields)}{_LOOP_NEWLINE}}}")
+    return _around_loops(ranking, pieces)
+
+
+def _masked(values, steps: list[int], n: int) -> str:
+    """A series of n floats, 0.0 outside `steps`, as the generic writer
+    writes it, with float.__repr__ only at `steps`.  A series of another
+    length, or a non-float at one of the steps, takes the generic writer."""
+    if type(values) is list and len(values) == n > 0:
+        text = ["0.0"] * n
+        try:
+            for k, r in zip(steps, map(float.__repr__, map(values.__getitem__, steps))):
+                text[k] = r
+        except TypeError:
+            return _encode(values, _ENTRY_NEWLINE)
+        body = _NODE_SEP.join(text)
+        if "n" in body:  # "nan", "inf" or "-inf"
+            for k in steps:
+                _float(values[k])
+        return f"[{_NODE_SEP[1:]}{body}{_ENTRY_NEWLINE}]"
+    return _encode(values, _ENTRY_NEWLINE)
+
+
+def _around_loops(doc: dict, loops: list[str]) -> list[str]:
+    """indented_json_pieces(doc), where doc["loops"] is a non-empty list
+    written as `loops`: a piece per item, each after its comma and line break."""
+    items = list(doc.items())
+    at = list(doc).index("loops")
+    pieces = indented_json_pieces(dict(items[:at], loops=[]))[:-3]  # less "[]" and the closing "\n", "}"
+    pieces += ("[", loops[0][1:], *loops[1:], "\n  ]")  # no comma before the first loop
+    tail = indented_json_pieces(dict(items[at + 1 :]))
+    tail[:1] = [","] if len(tail) > 1 else ["\n}"]  # in place of the tail's own "{", or of its "{}"
+    return pieces + tail
 
 
 def _float(x: float) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import compress, islice
 from operator import and_, itemgetter
@@ -53,12 +53,17 @@ class AnalysisError(Exception):
 
 @dataclass
 class LoopProfile:
+    """A loop's series.  `active` is None or, as build_profiles and ranking
+    set it, a byte per step: 1 where the loop is active, 0 where both series
+    hold 0.0.  The JSON writer trusts it: code that edits a series sets it to None."""
+
     record: LoopRecord
     score_series: list[float]
     relative_series: list[float]
     avg_contribution: float
     polarity: str
     note: str | None = None
+    active: bytes | None = field(default=None, repr=False, compare=False)
 
     @property
     def cycle(self) -> Cycle:
@@ -130,11 +135,11 @@ class _ScoreIndex:
         self.masks = [int.from_bytes(bytes(map(bool, column)), "little") for column in columns]
 
 
-def _active_scores(cycle: Cycle, index: _ScoreIndex) -> tuple[list[int], list]:
-    """The steps at which every edge of the loop is nonzero, and the loop's
-    score at each: the product of the same tuple `loop_score_series`
-    multiplies, so the same bits.  The loop's score is 0.0 at every other
-    step."""
+def _active_scores(cycle: Cycle, index: _ScoreIndex) -> tuple[bytes, list[int], list]:
+    """The loop's active-step mask (byte k is 1 where every edge of the
+    loop is nonzero at step k), those steps, and the loop's score at each:
+    the product of the same tuple `loop_score_series` multiplies, so the
+    same bits.  The loop's score is 0.0 at every other step."""
     ids = []
     for edge in zip(cycle, cycle[1:] + cycle[:1]):
         i = index.position.get(edge)
@@ -145,7 +150,7 @@ def _active_scores(cycle: Cycle, index: _ScoreIndex) -> tuple[list[int], list]:
     steps = list(compress(range(index.n + 1), active))
     # itemgetter of one index returns the item itself; of a slice, a 1-tuple
     get = itemgetter(*ids) if len(ids) > 1 else itemgetter(slice(ids[0], ids[0] + 1))
-    return steps, list(map(math.prod, map(get, map(index.rows.__getitem__, steps))))
+    return active, steps, list(map(math.prod, map(get, map(index.rows.__getitem__, steps))))
 
 
 def _shares(steps: list[int], scores: list, totals: list):
@@ -155,7 +160,7 @@ def _shares(steps: list[int], scores: list, totals: list):
 
 
 def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, list, list, list[float]]:
-    """The catalog's records, each loop's (active steps, scores there),
+    """The catalog's records, each loop's (mask, active steps, scores there),
     the per-step catalog totals, and each loop's avg_contribution, in
     catalog order.  Totals are summed over the active loops only, in
     catalog order from the int 0: an inactive loop would add 0.0, and
@@ -164,26 +169,27 @@ def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, l
     records = catalog.loops()
     active = [_active_scores(rec.cycle, index) for rec in records]
     totals = [0] * (series.n + 1)
-    for steps, scores in active:
+    for _, steps, scores in active:
         for k, s in zip(steps, scores):
             totals[k] = totals[k] + abs(s)
     # step 0 is not in the average
     avgs = [
         left_sum(islice(_shares(steps, scores, totals), 1 if steps and steps[0] == 0 else 0, None)) / series.n
-        for steps, scores in active
+        for _, steps, scores in active
     ]
     return records, active, totals, avgs
 
 
 def _profile(record: LoopRecord, active: tuple, totals: list, avg: float, n: int) -> LoopProfile:
-    steps, scores = active
+    mask, steps, scores = active
     score_series = [0.0] * (n + 1)
     relative = [0.0] * (n + 1)
     for k, s, share in zip(steps, scores, _shares(steps, scores, totals)):
         score_series[k] = s
         relative[k] = share
-    polarity, note = classify_polarity(score_series)
-    return LoopProfile(record, score_series, relative, avg, polarity, note)
+    # every other step holds 0.0, which classify_polarity passes over
+    polarity, note = classify_polarity(scores)
+    return LoopProfile(record, score_series, relative, avg, polarity, note, mask)
 
 
 def build_profiles(catalog: LoopCatalog, series: LinkScoreSeries) -> list[LoopProfile]:
@@ -277,15 +283,14 @@ def compare_catalogs(
     return CompletenessReport(len(reference), len(candidate), intersection_size, top_loops, near_misses)
 
 
-def profiles_to_csv(profiles: list[LoopProfile], times: tuple[float, ...]) -> str:
-    """CSV export: ``time,loop_id,score,relative``."""
-    lines = ["time,loop_id,score,relative"]
+def profiles_to_csv(profiles: list[LoopProfile], times: tuple[float, ...]) -> list[str]:
+    """CSV export: ``time,loop_id,score,relative``, as one piece per line."""
+    ids = [loop_id(p.cycle) for p in profiles]
+    lines = ["time,loop_id,score,relative\n"]
     for k, t in enumerate(times):
-        for p in profiles:
-            lines.append(
-                f"{format_number(t)},{loop_id(p.cycle)},{repr(p.score_series[k])},{repr(p.relative_series[k])}"
-            )
-    return "\n".join(lines) + "\n"
+        for p, name in zip(profiles, ids):
+            lines.append(f"{format_number(t)},{name},{repr(p.score_series[k])},{repr(p.relative_series[k])}\n")
+    return lines
 
 
 def ranking_to_json_dict(

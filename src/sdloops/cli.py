@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from ._jsonutil import indented_json_pieces
+from ._jsonutil import indented_json_pieces, ranking_json_pieces
 from .analysis import (
     AnalysisError,
     compare_catalogs,
@@ -228,11 +228,11 @@ def cmd_analyze(args) -> None:
         "loops_after_filter": len(profiles),
     }
     ranking = ranking_to_json_dict(profiles, catalog, metadata)
-    _emit(args.out, _json_pieces(lambda: indented_json_pieces(ranking)))
+    _emit(args.out, _json_pieces(lambda: ranking_json_pieces(ranking, [p.active for p in profiles])))
     if args.csv:
-        _emit(args.csv, [profiles_to_csv(profiles, run.times)])
+        _emit(args.csv, profiles_to_csv(profiles, run.times))
     if args.links_csv:
-        _emit(args.links_csv, [series_to_csv(series)])
+        _emit(args.links_csv, series_to_csv(series))
 
 
 def cmd_graph_loops(args) -> None:

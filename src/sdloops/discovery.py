@@ -161,9 +161,6 @@ class LoopCatalog:
     def __len__(self) -> int:
         return len(self._records)
 
-    def to_json_dict(self) -> dict:
-        return {**self._head(), "loops": [_loop_json(rec) for rec in self.loops()]}
-
     def to_json(self) -> str:
         """Strict JSON with a two-space indent; NaN or an infinite score
         raises ValueError."""
@@ -179,7 +176,7 @@ class LoopCatalog:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopCatalog":
-        """Inverse of to_json_dict: provenance is a string, overflow a bool, nodes
+        """Inverse of the JSON writer: provenance is a string, overflow a bool, nodes
         are strings, scores finite JSON numbers, and no loop repeats in any
         rotation, or MalformedCycleError says what is wrong."""
         if not isinstance(data, dict):
@@ -218,7 +215,7 @@ class LoopCatalog:
 
 
 def _loop_json(rec: LoopRecord) -> dict:
-    """One loop of to_json_dict."""
+    """One loop of the catalog's JSON document."""
     return {"cycle": list(rec.cycle), "discovery_score": rec.discovery_score, "found_at": rec.found_at}
 
 

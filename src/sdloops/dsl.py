@@ -1,4 +1,4 @@
-"""Model language: lexer, parser, validation, printing, and the causal graph.
+"""Model language: lexer, parser, validation, and the causal graph.
 
 The language is line oriented (one statement per line, ``#`` starts a
 comment).  Keywords are case-insensitive, identifiers are case-sensitive.
@@ -45,7 +45,6 @@ __all__ = [
     "parse_model",
     "validate",
     "dependency_graph",
-    "print_model",
     "expr_refs",
     "iter_if_nodes",
 ]
@@ -218,15 +217,12 @@ _TOKEN_RE = re.compile(
     r"|(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<op><=|>=|<>|[-+*/()<>={},:])"
 )
 
-# Binary operators by precedence level, loosest first.  The parser and the
-# printer both read this table; IF binds looser than every level and unary
-# operators tighter.
+# Binary operators by precedence level, loosest first.  IF binds looser
+# than every level and unary operators tighter.
 _LEVELS = {"OR": 1, "AND": 2, "<": 3, ">": 3, "<=": 3, ">=": 3, "=": 3, "<>": 3,
            "+": 4, "-": 4, "*": 5, "/": 5}
 _CMP_LEVEL = _LEVELS["="]  # comparisons take one operator and do not chain
 _TOP_LEVEL = max(_LEVELS.values())
-_IF_LEVEL = 0
-_UNARY_LEVEL = _TOP_LEVEL + 1
 
 
 class _Token(NamedTuple):
@@ -599,67 +595,9 @@ def dependency_graph(model: Model) -> Digraph:
 
 
 # --------------------------------------------------------------------------
-# Printing (round-trips: parse_model(print_model(m)) == m)
+# Number text
 
 def format_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(x)
-
-
-def format_expr(expr) -> str:
-    return _fmt(expr, 0)
-
-
-def _fmt(node, parent_level: int) -> str:
-    if isinstance(node, Num):
-        return format_number(node.value)
-    if isinstance(node, Ref):
-        return node.name
-    if isinstance(node, Builtin):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(_fmt(a, 0) for a in node.args)})"
-    if isinstance(node, Unary):
-        inner = _fmt(node.operand, _UNARY_LEVEL)
-        text = f"-{inner}" if node.op == "-" else f"NOT {inner}"
-        return _wrap(text, _UNARY_LEVEL, parent_level)
-    if isinstance(node, Bin):
-        level = _LEVELS[node.op]
-        # comparisons are non-associative in the grammar, so a comparison
-        # child needs parentheses on either side
-        left_level = level + 1 if level == _CMP_LEVEL else level
-        left = _fmt(node.left, left_level)
-        right = _fmt(node.right, level + 1)
-        return _wrap(f"{left} {node.op} {right}", level, parent_level)
-    if isinstance(node, If):
-        text = f"IF {_fmt(node.cond, 0)} THEN {_fmt(node.then, 0)} ELSE {_fmt(node.orelse, 0)}"
-        return _wrap(text, _IF_LEVEL, parent_level)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _wrap(text: str, level: int, parent_level: int) -> str:
-    return f"({text})" if level < parent_level else text
-
-
-def print_model(model: Model) -> str:
-    spec = model.run_spec
-    lines = [
-        "SPEC START = {} STOP = {} DT = {}".format(
-            format_number(spec.start), format_number(spec.stop), format_number(spec.dt)
-        )
-    ]
-    kw = {"const": "CONST", "aux": "AUX", "flow": "FLOW"}
-    for v in model.variables:
-        if v.kind == "stock":
-            sections = []
-            if v.inflows:
-                sections.append("inflow: " + ", ".join(v.inflows))
-            if v.outflows:
-                sections.append("outflow: " + ", ".join(v.outflows))
-            body = " ".join(sections)
-            braces = f"{{ {body} }}" if body else "{ }"
-            lines.append(f"STOCK {v.name} = {format_expr(v.expr)} {braces}")
-        else:
-            lines.append(f"{kw[v.kind]} {v.name} = {format_expr(v.expr)}")
-    return "\n".join(lines) + "\n"

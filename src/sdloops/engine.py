@@ -266,29 +266,37 @@ def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:
         elif v.kind == "stock":
             values[v.name][0] = initials[v.name]
 
-    stocks = model.by_kind("stock")
+    # tables built once per run: (name, column) of each const and stock; per equation (name,
+    # function, column, trace slots, loc); per stock its column and its flows' columns
+    known = [(v.name, values[v.name]) for v in model.variables if v.kind in ("const", "stock")]
+    equations = [(name, compiled[name], values[name], trace[name], byname[name].loc) for name in order]
+    stocks = [
+        (s.name, values[s.name], [values[f] for f in s.inflows], [values[f] for f in s.outflows], s.loc)
+        for s in model.by_kind("stock")
+    ]
     for k in range(n + 1):
         t = times[k]
-        env = {v.name: values[v.name][k] for v in model.variables if v.kind in ("const", "stock")}
-        for name in order:
-            record = [None] * len(trace[name])
+        env = {name: column[k] for name, column in known}
+        for name, f, column, slots, loc in equations:
+            record = [None] * len(slots) if slots else None  # only an IF node writes a record
             try:
-                val = compiled[name](env, t, dt, record)
+                val = f(env, t, dt, record)
             except ZeroDivisionError:
-                raise SimulationError("division by zero", name, k, byname[name].loc) from None
+                raise SimulationError("division by zero", name, k, loc) from None
             if not math.isfinite(val):
-                raise SimulationError("non-finite value", name, k, byname[name].loc)
-            env[name] = val
-            values[name][k] = val
-            for slot, taken in enumerate(record):
-                trace[name][slot][k] = taken
+                raise SimulationError("non-finite value", name, k, loc)
+            env[name] = column[k] = val
+            if slots:
+                for slot, taken in zip(slots, record):
+                    slot[k] = taken
         if k < n:
-            for s in stocks:
-                net = left_sum(values[f][k] for f in s.inflows) - left_sum(values[f][k] for f in s.outflows)
-                nxt = values[s.name][k] + dt * net
+            for name, column, ins, outs, loc in stocks:
+                # left_sum's fold from the int 0, so a lone -0.0 inflow gives 0.0
+                net = reduce(add, [c[k] for c in ins], 0) - reduce(add, [c[k] for c in outs], 0)
+                nxt = column[k] + dt * net
                 if not math.isfinite(nxt):
-                    raise SimulationError("non-finite value", s.name, k + 1, s.loc)
-                values[s.name][k + 1] = nxt
+                    raise SimulationError("non-finite value", name, k + 1, loc)
+                column[k + 1] = nxt
 
     return RunResult(model.names(), times, values, trace, spec)
 

@@ -171,10 +171,10 @@ def composite_scores(series: LinkScoreSeries, mode: str) -> dict[Edge, float]:
     return weights
 
 
-def series_to_csv(series: LinkScoreSeries) -> str:
-    """CSV export: ``time,src,dst,score``, one row per edge per step."""
-    lines = ["time,src,dst,score"]
+def series_to_csv(series: LinkScoreSeries) -> list[str]:
+    """CSV export: ``time,src,dst,score``, one row (and piece) per edge per step."""
+    lines = ["time,src,dst,score\n"]
     for k, t in enumerate(series.times):
         for src, dst in series.edges:
-            lines.append(f"{format_number(t)},{src},{dst},{repr(series.series[(src, dst)][k])}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{format_number(t)},{src},{dst},{repr(series.series[(src, dst)][k])}\n")
+    return lines

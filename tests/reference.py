@@ -7,14 +7,30 @@ Do not optimise or otherwise change this module.
 * `StringGraph`, `graph_from_edges`, `step_graph` and
   `strongest_path_pass`: the strongest-path search on string-keyed
   outbound lists, before it moved onto integer node ids.
+* `simulate`: the step loop that looked each variable's column, equation
+  and branch trace up by name at every step.
+* `profiles_to_csv` and `series_to_csv`: the CSV writers that joined the
+  whole file into one string.
+
+It also holds code that only tests call, moved out of the package:
+
+* `print_model` and `format_expr`: the model printer, which round-trips
+  (``parse_model(print_model(m)) == m``).
+* `catalog_to_json_dict`: a catalog as the dict whose
+  ``json.dumps(..., indent=2)`` text its JSON writer must equal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from sdloops.analysis import loop_id
 from sdloops.discovery import LoopCatalog
+from sdloops.dsl import _CMP_LEVEL, _LEVELS, _TOP_LEVEL, Bin, Builtin, Call, If, Model, Num, Ref, RunSpec, Unary
+from sdloops.dsl import format_number, iter_if_nodes
+from sdloops.engine import RunResult, SimulationError, _eval_initials, compile_equation, evaluation_order, left_sum
 from sdloops.scoring import LinkScoreSeries
 
 
@@ -121,3 +137,148 @@ def strongest_path_pass(
             visiting.discard(path.pop())
             carried.pop()
     return visits
+
+
+def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:
+    """Run the model and record every variable at every step.
+
+    Aborts with SimulationError naming the offending variable, step and
+    source location on division by zero or any non-finite value, and
+    with ModelError on an equation nested too deeply to compile.
+    """
+    spec = spec if spec is not None else model.run_spec
+    n = spec.steps
+    dt = spec.dt
+    order = evaluation_order(model)
+    byname = {v.name: v for v in model.variables}
+    times = tuple(spec.start + i * dt for i in range(n + 1))
+
+    initials = _eval_initials(model, spec)
+    values: dict[str, list[float]] = {v.name: [0.0] * (n + 1) for v in model.variables}
+    compiled = {name: compile_equation(byname[name]) for name in order}
+    trace = {name: [[None] * (n + 1) for _ in iter_if_nodes(byname[name].expr)] for name in order}
+
+    for v in model.variables:
+        if v.kind == "const":
+            values[v.name] = [initials[v.name]] * (n + 1)
+        elif v.kind == "stock":
+            values[v.name][0] = initials[v.name]
+
+    stocks = model.by_kind("stock")
+    for k in range(n + 1):
+        t = times[k]
+        env = {v.name: values[v.name][k] for v in model.variables if v.kind in ("const", "stock")}
+        for name in order:
+            record = [None] * len(trace[name])
+            try:
+                val = compiled[name](env, t, dt, record)
+            except ZeroDivisionError:
+                raise SimulationError("division by zero", name, k, byname[name].loc) from None
+            if not math.isfinite(val):
+                raise SimulationError("non-finite value", name, k, byname[name].loc)
+            env[name] = val
+            values[name][k] = val
+            for slot, taken in enumerate(record):
+                trace[name][slot][k] = taken
+        if k < n:
+            for s in stocks:
+                net = left_sum(values[f][k] for f in s.inflows) - left_sum(values[f][k] for f in s.outflows)
+                nxt = values[s.name][k] + dt * net
+                if not math.isfinite(nxt):
+                    raise SimulationError("non-finite value", s.name, k + 1, s.loc)
+                values[s.name][k + 1] = nxt
+
+    return RunResult(model.names(), times, values, trace, spec)
+
+
+def profiles_to_csv(profiles, times: tuple[float, ...]) -> str:
+    """CSV export: ``time,loop_id,score,relative``."""
+    lines = ["time,loop_id,score,relative"]
+    for k, t in enumerate(times):
+        for p in profiles:
+            lines.append(
+                f"{format_number(t)},{loop_id(p.cycle)},{repr(p.score_series[k])},{repr(p.relative_series[k])}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def series_to_csv(series: LinkScoreSeries) -> str:
+    """CSV export: ``time,src,dst,score``, one row per edge per step."""
+    lines = ["time,src,dst,score"]
+    for k, t in enumerate(series.times):
+        for src, dst in series.edges:
+            lines.append(f"{format_number(t)},{src},{dst},{repr(series.series[(src, dst)][k])}")
+    return "\n".join(lines) + "\n"
+
+
+def catalog_to_json_dict(catalog: LoopCatalog) -> dict:
+    return {
+        "provenance": catalog.provenance,
+        "overflow": catalog.overflow,
+        "loops": [
+            {"cycle": list(rec.cycle), "discovery_score": rec.discovery_score, "found_at": rec.found_at}
+            for rec in catalog.loops()
+        ],
+    }
+
+
+_IF_LEVEL = 0
+_UNARY_LEVEL = _TOP_LEVEL + 1
+
+
+def format_expr(expr) -> str:
+    return _fmt(expr, 0)
+
+
+def _fmt(node, parent_level: int) -> str:
+    if isinstance(node, Num):
+        return format_number(node.value)
+    if isinstance(node, Ref):
+        return node.name
+    if isinstance(node, Builtin):
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.fn}({', '.join(_fmt(a, 0) for a in node.args)})"
+    if isinstance(node, Unary):
+        inner = _fmt(node.operand, _UNARY_LEVEL)
+        text = f"-{inner}" if node.op == "-" else f"NOT {inner}"
+        return _wrap(text, _UNARY_LEVEL, parent_level)
+    if isinstance(node, Bin):
+        level = _LEVELS[node.op]
+        # comparisons are non-associative in the grammar, so a comparison
+        # child needs parentheses on either side
+        left_level = level + 1 if level == _CMP_LEVEL else level
+        left = _fmt(node.left, left_level)
+        right = _fmt(node.right, level + 1)
+        return _wrap(f"{left} {node.op} {right}", level, parent_level)
+    if isinstance(node, If):
+        text = f"IF {_fmt(node.cond, 0)} THEN {_fmt(node.then, 0)} ELSE {_fmt(node.orelse, 0)}"
+        return _wrap(text, _IF_LEVEL, parent_level)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _wrap(text: str, level: int, parent_level: int) -> str:
+    return f"({text})" if level < parent_level else text
+
+
+def print_model(model: Model) -> str:
+    spec = model.run_spec
+    lines = [
+        "SPEC START = {} STOP = {} DT = {}".format(
+            format_number(spec.start), format_number(spec.stop), format_number(spec.dt)
+        )
+    ]
+    kw = {"const": "CONST", "aux": "AUX", "flow": "FLOW"}
+    for v in model.variables:
+        if v.kind == "stock":
+            sections = []
+            if v.inflows:
+                sections.append("inflow: " + ", ".join(v.inflows))
+            if v.outflows:
+                sections.append("outflow: " + ", ".join(v.outflows))
+            body = " ".join(sections)
+            braces = f"{{ {body} }}" if body else "{ }"
+            lines.append(f"STOCK {v.name} = {format_expr(v.expr)} {braces}")
+        else:
+            lines.append(f"{kw[v.kind]} {v.name} = {format_expr(v.expr)}")
+    return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ from operator import add
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
 import sdloops as sl
 from sdloops import analysis
 from sdloops.analysis import (
@@ -572,11 +573,22 @@ def test_compare_matches_reference(case, top_n, near_miss_ratio):
 class TestOutputs:
     def test_profiles_csv(self, two_stock_catalog, two_stock_series, two_stock_run):
         profiles = sl.rank_and_filter(two_stock_catalog, two_stock_series)
-        text = profiles_to_csv(profiles, two_stock_run.times)
+        text = "".join(profiles_to_csv(profiles, two_stock_run.times))
         lines = text.strip().splitlines()
         assert lines[0] == "time,loop_id,score,relative"
         assert len(lines) == 1 + 13 * 3
         assert loop_id(MINOR_1) == "Flow_1->Stock_1"
+
+    def test_csv_pieces_join_to_the_whole_text(self, arms_catalog, arms_series, arms_run):
+        """Both CSV writers return one piece per line, which join to the text
+        the writers that built one string gave."""
+        profiles = sl.rank_and_filter(arms_catalog, arms_series)
+        pieces = profiles_to_csv(profiles, arms_run.times)
+        assert len(pieces) == 1 + len(arms_run.times) * len(profiles)
+        assert "".join(pieces) == reference.profiles_to_csv(profiles, arms_run.times)
+        pieces = sl.series_to_csv(arms_series)
+        assert len(pieces) == 1 + len(arms_run.times) * len(arms_series.edges)
+        assert "".join(pieces) == reference.series_to_csv(arms_series)
 
     def test_ranking_json(self, two_stock_catalog, two_stock_series):
         profiles = sl.rank_and_filter(two_stock_catalog, two_stock_series, threshold=0.001)

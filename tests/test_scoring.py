@@ -266,7 +266,7 @@ class TestComposites:
 
 class TestSeriesCsv:
     def test_format(self, two_stock_series):
-        lines = sl.series_to_csv(two_stock_series).strip().splitlines()
+        lines = "".join(sl.series_to_csv(two_stock_series)).strip().splitlines()
         assert lines[0] == "time,src,dst,score"
         assert len(lines) == 1 + 13 * 6
         cells = lines[1].split(",")
