@@ -177,8 +177,9 @@ class LoopCatalog:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopCatalog":
         """Inverse of the JSON writer: provenance is a string, overflow a bool, nodes
-        are strings, scores finite JSON numbers, and no loop repeats in any
-        rotation, or MalformedCycleError says what is wrong."""
+        are strings, scores finite JSON numbers, found_at a step (an int >= 0)
+        or a string, and no loop repeats in any rotation, or MalformedCycleError
+        says what is wrong."""
         if not isinstance(data, dict):
             raise MalformedCycleError("the top level is not a JSON object")
         loops = data.get("loops", [])
@@ -199,6 +200,9 @@ class LoopCatalog:
                 raise MalformedCycleError(f"a loop is missing the field {err}") from None
             if not isinstance(cycle, list):
                 raise MalformedCycleError(f"cycle {cycle!r} is not a list")
+            kind = type(found_at)
+            if kind is not str and not (kind is int and found_at >= 0):
+                raise MalformedCycleError(f"malformed loop entry (found_at {found_at!r} is not a step or a string)")
             if not catalog.add(cycle, _finite_score(score), found_at):
                 raise MalformedCycleError(f"loop {' -> '.join(canonical_form(cycle))} is listed twice")
         return catalog

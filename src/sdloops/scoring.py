@@ -155,6 +155,8 @@ def composite_scores(series: LinkScoreSeries, mode: str) -> dict[Edge, float]:
     if mode not in ("max", "avg"):
         raise ValueError(f"mode must be 'max' or 'avg', got {mode!r}")
     n = series.n
+    if mode == "avg" and n == 0:
+        raise ValueError("avg mode needs a series with at least one step")
     weights: dict[Edge, float] = {}
     for edge, scores in series.series.items():
         if mode == "max":

@@ -17,29 +17,22 @@ import time
 import pytest
 
 import sdloops as sl
+from reference import linear_coefficients
 from sdloops.cli import main
 from sdloops.discovery import LoopCatalog, step_graph, strongest_path_pass
-from sdloops.dsl import expr_refs
-from sdloops.engine import _eval_initials, compile_expr
 from sdloops.fixtures import stock_projection_circuit_count
 
 BENCH_SPEC = sl.SyntheticSpec(stocks=12, density=1.0, seed=7)
 
 
 @pytest.fixture(scope="module")
-def arms():
-    model = sl.parse_model(sl.ARMS_RACE.source)
-    run = sl.simulate(model)
-    series = sl.score_all(model, run)
-    return model, run, series
+def arms(arms_model, arms_run, arms_series):
+    return arms_model, arms_run, arms_series
 
 
 @pytest.fixture(scope="module")
-def twostock():
-    model = sl.parse_model(sl.TWO_STOCK.source)
-    run = sl.simulate(model)
-    series = sl.score_all(model, run)
-    return model, run, series
+def twostock(two_stock_model, two_stock_run, two_stock_series):
+    return two_stock_model, two_stock_run, two_stock_series
 
 
 @pytest.fixture(scope="module")
@@ -72,29 +65,11 @@ def test_criterion_01_arms_race_structure(arms):
     print(f"PASS criterion 1: arms race has 8 loops (3 balancing, 5 reinforcing) in {elapsed:.3f}s")
 
 
-def _linear_coefficients(model, name):
-    var = model.variable(name)
-    refs = expr_refs(var.expr)
-    consts = {v.name for v in model.by_kind("const")}
-    initials = _eval_initials(model)
-    base = {r: (initials[r] if r in consts else 0.0) for r in refs}
-    f = compile_expr(var.expr)
-    zero = f(dict(base), 0.0, 1.0, {})
-    out = {}
-    for r in refs:
-        if r in consts:
-            continue
-        env = dict(base)
-        env[r] = 1.0
-        out[r] = f(env, 0.0, 1.0, {}) - zero
-    return out
-
-
 def test_criterion_02_arms_race_gains(arms):
     model, _, series = arms
     catalog = sl.discover(model, series)
     aux_names = {v.name for v in model.by_kind("aux")}
-    coefs = {name: _linear_coefficients(model, name) for name in aux_names}
+    coefs = {name: linear_coefficients(model, name) for name in aux_names}
 
     gains = {6: [], 9: []}
     for rec in catalog.loops():

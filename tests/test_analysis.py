@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
 import sdloops as sl
+from reference import _bits, _left_sum, _reference_ranking, _reference_relative, reference_compare_catalogs
+from reference import reference_overlap_ratio
 from sdloops import analysis
 from sdloops.analysis import (
     AnalysisError,
@@ -19,7 +19,7 @@ from sdloops.analysis import (
     profiles_to_csv,
     ranking_to_json_dict,
 )
-from sdloops.discovery import LoopCatalog, WeightedDigraph, canonical_form, enumerate_loops
+from sdloops.discovery import LoopCatalog, WeightedDigraph, enumerate_loops
 from sdloops.scoring import LinkScoreSeries
 
 
@@ -125,38 +125,6 @@ class TestRelativeScores:
 # hypothesis: loop scores and relative shares match a step-by-step reference
 # bit for bit, signed zeros included
 
-def _reference_loop_scores(cycle, series):
-    edges = [(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))]
-    out = []
-    for k in range(series.n + 1):
-        score = 1.0
-        for edge in edges:
-            s = series.series[edge][k]
-            if s == 0.0:
-                score = 0.0
-                break
-            score *= s
-        out.append(score)
-    return out
-
-
-def _left_sum(xs):
-    """sum() as Python 3.11 and earlier compute it for floats: a plain left
-    fold from the int 0, which later versions' compensated sum is not."""
-    return reduce(add, xs, 0)
-
-
-def _reference_relative(catalog, series):
-    raw = {rec.cycle: _reference_loop_scores(rec.cycle, series) for rec in catalog.loops()}
-    rel = {cycle: [0.0] * (series.n + 1) for cycle in raw}
-    for k in range(series.n + 1):
-        total = _left_sum(abs(raw[cycle][k]) for cycle in raw)
-        if total > 0.0:
-            for cycle in raw:
-                rel[cycle][k] = abs(raw[cycle][k]) / total
-    return raw, rel
-
-
 @st.composite
 def _scored_graphs(draw):
     pairs = [(src, dst) for src in "abcd" for dst in "abcd"]
@@ -169,10 +137,6 @@ def _scored_graphs(draw):
     )
     series = {edge: draw(st.lists(score, min_size=n + 1, max_size=n + 1)) for edge in edges}
     return LinkScoreSeries(tuple(edges), tuple(float(k) for k in range(n + 1)), series)
-
-
-def _bits(values):
-    return [repr(v) for v in values]
 
 
 def _series(**columns):
@@ -194,17 +158,10 @@ def _missing_edge_error(catalog, series):
 
 
 def _ranked_bits(profiles):
-    return [(p.cycle, repr(p.avg_contribution), _bits(p.score_series), _bits(p.relative_series)) for p in profiles]
-
-
-def _reference_ranking(catalog, series, threshold, top):
-    """Loops whose average is NaN first, by cycle; then the rest at or
-    above the threshold, by descending average and then cycle."""
-    raw, rel = _reference_relative(catalog, series)
-    avg = {cycle: _left_sum(r[1:]) / series.n for cycle, r in rel.items()}
-    overflowed = sorted(c for c in avg if math.isnan(avg[c]))
-    ranked = sorted((c for c in avg if avg[c] >= threshold), key=lambda c: (-avg[c], c))
-    return [(c, repr(avg[c]), _bits(raw[c]), _bits(rel[c])) for c in (overflowed + ranked)[:top]]
+    return [
+        (p.cycle, repr(p.avg_contribution), _bits(p.score_series), _bits(p.relative_series), p.polarity, p.note)
+        for p in profiles
+    ]
 
 
 _small_cycles = st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True).map(tuple)
@@ -256,7 +213,6 @@ def test_profiles_match_stepwise_reference(series, extra, threshold, top):
 
     ranked = sl.rank_and_filter(catalog, series, threshold, top)
     assert _ranked_bits(ranked) == _reference_ranking(catalog, series, threshold, top)
-    assert all((p.polarity, p.note) == classify_polarity(raw[p.cycle]) for p in ranked)
     assert _ranked_bits(ranked) == _ranked_bits(sl.rank_and_filter(catalog, series, threshold)[:top])
 
 
@@ -378,6 +334,13 @@ class TestRankAndFilter:
         with pytest.raises(ValueError):
             sl.rank_and_filter(two_stock_catalog, two_stock_series, top=0)
 
+    def test_a_single_time_is_an_analysis_error(self):
+        catalog = LoopCatalog()
+        catalog.add(("a", "b"), 1.0, "static")
+        for call in (sl.build_profiles, sl.relative_scores, sl.rank_and_filter):
+            with pytest.raises(AnalysisError, match="single time"):
+                call(catalog, _series(ab=[1.0], ba=[1.0]))
+
 
 class TestOverlapRatio:
     def test_identical(self):
@@ -396,28 +359,6 @@ class TestOverlapRatio:
         b = ("o", "p", "m", "q")
         # contiguous run o,p,m crosses a's wrap point
         assert _cyclic_overlap_ratio(a, b) == pytest.approx(3 / 4)
-
-
-def reference_overlap_ratio(a, b):
-    """Longest common substring of a + a and b + b, capped at the shorter
-    cycle's length, by dynamic programming over every pair of positions."""
-    if not a or not b:
-        return 0.0
-    if canonical_form(a) == canonical_form(b):
-        return 1.0
-    aa = a + a
-    bb = b + b
-    cap = min(len(a), len(b))
-    best = 0
-    prev = [0] * (len(bb) + 1)
-    for i in range(1, len(aa) + 1):
-        cur = [0] * (len(bb) + 1)
-        for j in range(1, len(bb) + 1):
-            if aa[i - 1] == bb[j - 1]:
-                cur[j] = min(prev[j - 1] + 1, cap)
-                best = max(best, cur[j])
-        prev = cur
-    return best / max(len(a), len(b))
 
 
 _cycles = st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True).map(tuple)
@@ -490,49 +431,6 @@ class TestCompare:
 # hypothesis: compare_catalogs gives the report of the earlier version, which
 # sorted and searched on its own (its sort assumed no NaN, so scores here
 # stay finite)
-
-def reference_compare_catalogs(reference, candidate, series=None, top_n=15, near_miss_ratio=0.6):
-    ref_records = reference.loops()
-    if series is not None:
-        values = [p.avg_contribution for p in sl.build_profiles(reference, series)]
-    else:
-        values = [abs(rec.discovery_score) for rec in ref_records]
-    ranked = sorted(zip(values, ref_records), key=lambda pair: (-pair[0], pair[1].cycle))
-
-    candidate_cycles = candidate.cycles()
-    candidates_in_order = sorted(candidate_cycles)
-    intersection = reference.cycles() & candidate_cycles
-
-    top_loops = []
-    near_misses = []
-    for _, rec in ranked[:top_n]:
-        present = rec.cycle in candidate_cycles
-        top_loops.append({"cycle": list(rec.cycle), "present": present})
-        if present or not candidate_cycles:
-            continue
-        best_cycle = None
-        best_ratio = 0.0
-        for cand in candidates_in_order:
-            ratio = _cyclic_overlap_ratio(rec.cycle, cand)
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_cycle = cand
-        if best_cycle is not None and best_ratio >= near_miss_ratio:
-            near_misses.append(
-                {
-                    "reference_cycle": list(rec.cycle),
-                    "candidate_cycle": list(best_cycle),
-                    "overlap": best_ratio,
-                }
-            )
-    return {
-        "reference_size": len(reference),
-        "candidate_size": len(candidate),
-        "intersection_size": len(intersection),
-        "top_loops": top_loops,
-        "near_misses": near_misses,
-    }
-
 
 _free_cycles = st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True)
 _tied_scores = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5])  # equal magnitudes of either sign

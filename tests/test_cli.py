@@ -4,7 +4,6 @@ import contextlib
 import errno
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -18,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 import sdloops as sl
 from reference import catalog_to_json_dict
 from sdloops.cli import main
+from strategies import OVERFLOWING_LOOP
 
 
 @pytest.fixture()
@@ -67,27 +67,10 @@ class TestSimulate:
         assert main(["simulate", str(bad)]) == 2
         assert "unresolved reference g" in capsys.readouterr().err
 
-    def test_runtime_failure_exit_code(self, tmp_path, capsys):
-        model = tmp_path / "div.sdm"
-        model.write_text(
-            "SPEC START = 0 STOP = 5 DT = 1\n"
-            "FLOW drain = 1\n"
-            "STOCK x = 2 { outflow: drain }\n"
-            "AUX f = 1 / x\n",
-            encoding="utf-8",
-        )
-        assert main(["simulate", str(model)]) == 3
-        assert "division by zero" in capsys.readouterr().err
-
     def test_overrides(self, twostock_path, capsys):
         assert main(["simulate", twostock_path, "--stop", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 4
-
-    def test_out_file(self, twostock_path, tmp_path):
-        out = tmp_path / "run.csv"
-        assert main(["simulate", twostock_path, "--out", str(out)]) == 0
-        assert out.read_text(encoding="utf-8").startswith("time,")
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -156,25 +139,6 @@ class TestAnalyze:
         assert all(isinstance(loop["found_at"], int) for loop in data["loops"])
         assert all(loop["found_at"] in range(1, 101, 5) for loop in data["loops"])
 
-    def test_forced_exhaustive_cap_exceeded(self, tmp_path, capsys):
-        model_path = tmp_path / "dense.sdm"
-        model_path.write_text(sl.gen_synthetic(sl.SyntheticSpec(stocks=8, density=1.0, seed=1)), encoding="utf-8")
-        assert main(["analyze", str(model_path), "--method", "exhaustive", "--cap", "50"]) == 3
-        assert "cap exceeded" in capsys.readouterr().err
-
-    def test_csv_outputs(self, twostock_path, tmp_path, capsys):
-        csv_path = tmp_path / "loops.csv"
-        links_path = tmp_path / "links.csv"
-        assert (
-            main(
-                ["analyze", twostock_path, "--csv", str(csv_path), "--links-csv", str(links_path),
-                 "--out", str(tmp_path / "r.json")]
-            )
-            == 0
-        )
-        assert csv_path.read_text(encoding="utf-8").startswith("time,loop_id,score,relative")
-        assert links_path.read_text(encoding="utf-8").startswith("time,src,dst,score")
-
     def test_flag_validation(self, twostock_path, capsys):
         assert main(["analyze", twostock_path, "--cap", "0"]) == 1
         assert main(["analyze", twostock_path, "--stride", "0"]) == 1
@@ -202,42 +166,14 @@ class TestAnalyze:
             assert (metadata["cap"], metadata["stride"]) == (1000, 1)
 
 
-# every link score is finite (1.4e294 and 1.3e281 at step 1), the product
-# along f -> s -> z is not; the loop g -> s stays finite
-OVERFLOWING_LOOP_MODEL = (
-    "SPEC START = 0 STOP = 3 DT = 1\n"
-    "STOCK s = 4.9 { inflow: f outflow: g }\n"
-    "FLOW f = IF z > 1.0000000000000004 THEN 0.2000000000000001 ELSE 1e280 * (z - 1) + 0.2\n"
-    "FLOW g = 0.01 * s\n"
-    "AUX z = IF s > 5 THEN 1.000000000000001 ELSE 1e280 * (s - 4.9) + 1\n"
-)
-
-
 class TestScoreOverflow:
     """A link score that overflows is 0; a loop score that overflows ends
     the run with exit 3, whatever --threshold and --top ask for."""
 
-    def test_overflowing_link_score_is_zero(self, tmp_path, capsys):
-        # at step 1, s moves z by 1e300 * 0.1 while z itself moves by 1e-15
-        model = tmp_path / "m.sdm"
-        model.write_text(
-            "SPEC START = 0 STOP = 3 DT = 1\n"
-            "STOCK s = 4.9 { inflow: f }\n"
-            "FLOW f = 0.2 * z\n"
-            "AUX z = IF s > 5 THEN 1.000000000000001 ELSE 1e300 * (s - 4.9) + 1\n",
-            encoding="utf-8",
-        )
-        links = tmp_path / "links.csv"
-        assert main(["analyze", str(model), "--links-csv", str(links)]) == 0
-        json.loads(capsys.readouterr().out)
-        rows = [line.split(",") for line in links.read_text(encoding="utf-8").splitlines()[1:]]
-        assert all(math.isfinite(float(score)) for *_, score in rows)
-        assert ["1", "s", "z", "0.0"] in rows
-
     @pytest.mark.parametrize("flags", [[], ["--top", "1"], ["--threshold", "0.5"]])
     def test_overflowing_loop_score_is_a_runtime_failure(self, flags, tmp_path, capsys):
         model = tmp_path / "m.sdm"
-        model.write_text(OVERFLOWING_LOOP_MODEL, encoding="utf-8")
+        model.write_text(OVERFLOWING_LOOP, encoding="utf-8")
         out = tmp_path / "ranking.json"
         assert main(["analyze", str(model), "--out", str(out), *flags]) == 3
         captured = capsys.readouterr()
@@ -645,7 +581,7 @@ class TestCompareRanking:
 
     def test_overflowing_loop_first_in_either_file_order(self, tmp_path, capsys):
         model = tmp_path / "m.sdm"
-        model.write_text(OVERFLOWING_LOOP_MODEL, encoding="utf-8")
+        model.write_text(OVERFLOWING_LOOP, encoding="utf-8")
         loops = [{"cycle": cycle, "discovery_score": 1.0, "found_at": "static"} for cycle in (["f", "s", "z"], ["g", "s"])]
         cand = tmp_path / "cand.json"
         cand.write_text(json.dumps({"loops": loops[1:]}), encoding="utf-8")
@@ -675,6 +611,8 @@ class TestCompareMalformedCatalog:
             ('{"loops": [{"discovery_score": 1.0, "found_at": 0}]}', "a loop is missing the field 'cycle'"),
             ('{"loops": [{"cycle": ["a", "b"], "found_at": 0}]}', "a loop is missing the field 'discovery_score'"),
             ('{"loops": [{"cycle": ["a", "b"], "discovery_score": 1.0}]}', "a loop is missing the field 'found_at'"),
+            *((f'{{"loops": [{{"cycle": ["a"], "discovery_score": 1.0, "found_at": {v}}}]}}', f"malformed loop entry (found_at {shown} is not a step or a string)")
+              for v, shown in (("null", "None"), ("true", "True"), ("1.5", "1.5"), ("[1]", "[1]"), ("-3", "-3"))),
             (
                 '{"loops": [{"cycle": ["a", "b", "a"], "discovery_score": 1.0, "found_at": 0}]}',
                 "repeated node in cycle",

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference
 import sdloops as sl
+from reference import _enumerate_with_cycle_score, _reference_sweep, cycle_score
 from sdloops.discovery import (
     LoopCatalog,
     LoopRecord,
@@ -27,22 +28,6 @@ from sdloops.discovery import (
     strongest_path_pass,
 )
 from sdloops.scoring import LinkScoreSeries
-
-
-def weight(graph: WeightedDigraph, src: str, dst: str) -> float:
-    """The weight of the first src -> dst entry in src's outbound list."""
-    for node, w in graph.out.get(src, ()):
-        if node == dst:
-            return w
-    raise KeyError((src, dst))
-
-
-def cycle_score(graph: WeightedDigraph, cycle) -> float:
-    """Signed product of the cycle's edge weights, multiplied in its order."""
-    score = 1.0
-    for i, src in enumerate(cycle):
-        score *= weight(graph, src, cycle[(i + 1) % len(cycle)])
-    return score
 
 
 class TestCanonicalForm:
@@ -162,22 +147,6 @@ def test_enumerate_matches_networkx_oracle(edges):
     oracle = nx.DiGraph(edges)
     expected = {canonical_form(c) for c in nx.simple_cycles(oracle)}
     assert mine.cycles() == expected
-
-
-def _enumerate_with_cycle_score(graph: WeightedDigraph, cap: int) -> LoopCatalog:
-    """Reference: every circuit through LoopCatalog.add, scored by the
-    linear-scan cycle_score, not by the product the search carries.  A
-    repeated circuit would neither count nor overflow the cap."""
-    adj = {v: {w: weight for w, weight in graph.out.get(v, ()) if weight != 0.0} for v in graph.nodes}
-    catalog = LoopCatalog(provenance="exhaustive")
-    for cycle, _ in _elementary_circuits(graph.nodes, adj):
-        if cycle in catalog:
-            continue
-        if len(catalog) >= cap:
-            catalog.overflow = True
-            break
-        catalog.add(cycle, cycle_score(graph, canonical_form(cycle)), "static")
-    return catalog
 
 
 def _records(catalog: LoopCatalog) -> list[tuple]:
@@ -474,8 +443,8 @@ def _catalogs(draw):
     return catalog
 
 
-def _catalog_of(**fields) -> LoopCatalog:
-    return LoopCatalog.from_json_dict({"loops": [{"cycle": ["a", "b"], "discovery_score": 0.5, **fields}]})
+def _catalog_of(found_at) -> LoopCatalog:
+    return LoopCatalog(_records={("a", "b"): LoopRecord(("a", "b"), 0.5, found_at)})
 
 
 def _catalog_with_int_score() -> LoopCatalog:
@@ -485,23 +454,19 @@ def _catalog_with_int_score() -> LoopCatalog:
     return catalog
 
 
+_read_found_at = st.one_of(st.just("static"), st.integers(min_value=0, max_value=500), _names)
 _found_at_values = st.one_of(
-    st.just("static"),
-    st.integers(min_value=-5, max_value=500),
-    st.booleans(),
-    st.none(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.lists(st.integers(min_value=0, max_value=9), max_size=2),
-    _names,
+    _read_found_at, st.integers(-5, -1), st.booleans(), st.none(), st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(0, 9), max_size=2),
 )
 
 
 @st.composite
 def _catalogs_beyond_the_template(draw):
     """Catalogs with loops the writer's template does not fit, mixed with
-    loops it does: int node names (listed by enumerate_loops), found_at
-    values that are neither int nor str (read by from_json_dict), and int
-    scores (added directly); any of them may be empty."""
+    loops it does: int node names (listed by enumerate_loops), and found_at
+    values that are neither a step nor a str and int scores (both added
+    directly); any of them may be empty."""
     if draw(st.booleans()):
         rows = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), _weights), max_size=12))
         return enumerate_loops(WeightedDigraph.from_edges(rows), cap=40)
@@ -512,7 +477,7 @@ def _catalogs_beyond_the_template(draw):
         if canonical_form(cycle) not in seen:
             seen.add(canonical_form(cycle))
             score = draw(st.floats(allow_nan=False, allow_infinity=False))
-            loops.append({"cycle": cycle, "discovery_score": score, "found_at": draw(_found_at_values)})
+            loops.append({"cycle": cycle, "discovery_score": score, "found_at": draw(_read_found_at)})
     catalog = LoopCatalog.from_json_dict({"provenance": draw(st.sampled_from(["exhaustive", "unknown"])), "loops": loops})
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         cycle = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
@@ -596,10 +561,10 @@ class TestCatalogJson:
     @settings(max_examples=120, deadline=None)
     @given(_catalogs_beyond_the_template())
     @example(_catalog_with_int_score())
-    @example(_catalog_of(found_at=True))
-    @example(_catalog_of(found_at=None))
-    @example(_catalog_of(found_at=1.5))
-    @example(_catalog_of(found_at=[1]))
+    @example(_catalog_of(True))
+    @example(_catalog_of(None))
+    @example(_catalog_of(1.5))
+    @example(_catalog_of([1]))
     @example(enumerate_loops(WeightedDigraph.from_edges([(1, 2, 0.5), (2, 1, 3.0), (2, 2, -1.0)])))
     @example(LoopCatalog())
     def test_loops_the_template_does_not_fit_are_the_text_of_json_dumps(self, catalog):
@@ -620,9 +585,10 @@ class TestCatalogJson:
                 assert first.setdefault(name, name) is name
 
     def test_found_at_that_is_not_a_str_is_not_shared(self):
+        # shared by equality, the true would become the 1 before it, a step
         text = '{"loops": [{"cycle": ["a"], "discovery_score": 1, "found_at": 1}, {"cycle": ["b"], "discovery_score": 1, "found_at": true}]}'
-        found_at = [rec.found_at for rec in LoopCatalog.from_json(text).loops()]
-        assert found_at == [1, True] and type(found_at[1]) is bool
+        with pytest.raises(MalformedCycleError, match="found_at True is not a step or a string"):
+            LoopCatalog.from_json(text)
 
     @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
     def test_non_finite_score_is_not_written(self, score):
@@ -751,15 +717,6 @@ def _late_stock_series(series: LinkScoreSeries, stocks: list[str], steps) -> Lin
             if dst == first:
                 columns[(src, dst)][k] = 0.0
     return LinkScoreSeries(series.edges, series.times, columns)
-
-
-def _reference_sweep(series: LinkScoreSeries, stocks, stride: int, sort: bool = True) -> tuple[list, LoopCatalog]:
-    registry = LoopCatalog(provenance="strongest-path")
-    visits = [
-        reference.strongest_path_pass(reference.step_graph(series, k, stocks, sort=sort), registry, found_at=k)
-        for k in range(1, series.n + 1, stride)
-    ]
-    return visits, registry
 
 
 def _check_sweep_against_reference(model, series: LinkScoreSeries) -> None:

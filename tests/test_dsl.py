@@ -2,17 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sdloops as sl
-from reference import format_expr, print_model
+from reference import ReferenceLineParser, format_expr, print_model, reference_parse_statement, reference_tokenize_line
 from sdloops import dsl, engine
-from sdloops.dsl import (
-    Bin, Builtin, Call, Diagnostic, If, Loc, Num, Ref, RunSpec, Unary, Variable, expr_refs,
-)
+from sdloops.dsl import Bin, Builtin, Call, If, Num, Ref, Unary, expr_refs
 
 
 def diagnostics_of(text):
@@ -259,252 +256,9 @@ def test_expr_refs_finds_every_reference(expr):
 
 
 # --------------------------------------------------------------------------
-# Reference front end: the lexer and parser as they were before the operator
-# table, a hand-stepped scanning loop over four character constants and one
-# grammar method per precedence level.  The table-driven lexer and parser
-# must agree with them on every line: tokens, trees, every `loc`,
-# diagnostics and the stand-in declaration of a line that fails.
-
-_REF_NUM_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_REF_TWO_CHAR_OPS = ("<=", ">=", "<>")
-_REF_ONE_CHAR_OPS = set("+-*/()<>={},:")
-
-
-@dataclass(frozen=True)
-class RefToken:
-    kind: str  # "num" | "ident" | "kw" | "op" | "end"
-    text: str
-    value: float
-    loc: Loc
-
-
-def reference_tokenize_line(line: str, lineno: int) -> list[RefToken]:
-    toks: list[RefToken] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "#":
-            break
-        loc = Loc(lineno, i + 1)
-        m = _REF_IDENT_RE.match(line, i)
-        if m:
-            text = m.group()
-            if text.upper() in dsl.KEYWORDS:
-                toks.append(RefToken("kw", text.upper(), 0.0, loc))
-            else:
-                toks.append(RefToken("ident", text, 0.0, loc))
-            i = m.end()
-            continue
-        m = _REF_NUM_RE.match(line, i)
-        if m:
-            toks.append(RefToken("num", m.group(), float(m.group()), loc))
-            i = m.end()
-            continue
-        if line[i : i + 2] in _REF_TWO_CHAR_OPS:
-            toks.append(RefToken("op", line[i : i + 2], 0.0, loc))
-            i += 2
-            continue
-        if c in _REF_ONE_CHAR_OPS:
-            toks.append(RefToken("op", c, 0.0, loc))
-            i += 1
-            continue
-        raise dsl._LineError(Diagnostic(f"unexpected character {c!r}", loc))
-    toks.append(RefToken("end", "", 0.0, Loc(lineno, n + 1)))
-    return toks
-
-
-# --------------------------------------------------------------------------
-# Parser
-
-class ReferenceLineParser:
-    def __init__(self, tokens: list[RefToken]):
-        self.tokens = tokens
-        self.pos = 0
-        self.declared: Variable | None = None  # set once a declaration's keyword and name are read
-
-    @property
-    def cur(self) -> RefToken:
-        return self.tokens[self.pos]
-
-    def take(self) -> RefToken:
-        tok = self.cur
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
-
-    def at_kw(self, *names: str) -> bool:
-        return self.cur.kind == "kw" and self.cur.text in names
-
-    def at_op(self, *ops: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text in ops
-
-    def expect_kw(self, name: str) -> RefToken:
-        if not self.at_kw(name):
-            raise dsl._LineError(Diagnostic(f"expected {name}, got {self._describe()}", self.cur.loc))
-        return self.take()
-
-    def expect_op(self, op: str) -> RefToken:
-        if not self.at_op(op):
-            raise dsl._LineError(Diagnostic(f"expected {op!r}, got {self._describe()}", self.cur.loc))
-        return self.take()
-
-    def expect_ident(self) -> RefToken:
-        if self.cur.kind != "ident":
-            raise dsl._LineError(Diagnostic(f"expected identifier, got {self._describe()}", self.cur.loc))
-        return self.take()
-
-    def expect_num(self) -> RefToken:
-        if self.cur.kind != "num":
-            raise dsl._LineError(Diagnostic(f"expected number, got {self._describe()}", self.cur.loc))
-        return self.take()
-
-    def expect_end(self) -> None:
-        if self.cur.kind != "end":
-            raise dsl._LineError(Diagnostic(f"unexpected trailing {self._describe()}", self.cur.loc))
-
-    def _describe(self) -> str:
-        tok = self.cur
-        return "end of line" if tok.kind == "end" else f"{tok.text!r}"
-
-    # expression grammar, lowest precedence first
-
-    def expr(self):
-        if self.at_kw("IF"):
-            loc = self.take().loc
-            cond = self.expr()
-            self.expect_kw("THEN")
-            then = self.expr()
-            self.expect_kw("ELSE")
-            orelse = self.expr()
-            return If(cond, then, orelse, loc)
-        return self.or_expr()
-
-    def or_expr(self):
-        node = self.and_expr()
-        while self.at_kw("OR"):
-            loc = self.take().loc
-            node = Bin("OR", node, self.and_expr(), loc)
-        return node
-
-    def and_expr(self):
-        node = self.cmp_expr()
-        while self.at_kw("AND"):
-            loc = self.take().loc
-            node = Bin("AND", node, self.cmp_expr(), loc)
-        return node
-
-    def cmp_expr(self):
-        node = self.add_expr()
-        if self.at_op("<", ">", "<=", ">=", "=", "<>"):
-            tok = self.take()
-            node = Bin(tok.text, node, self.add_expr(), tok.loc)
-        return node
-
-    def add_expr(self):
-        node = self.mul_expr()
-        while self.at_op("+", "-"):
-            tok = self.take()
-            node = Bin(tok.text, node, self.mul_expr(), tok.loc)
-        return node
-
-    def mul_expr(self):
-        node = self.unary_expr()
-        while self.at_op("*", "/"):
-            tok = self.take()
-            node = Bin(tok.text, node, self.unary_expr(), tok.loc)
-        return node
-
-    def unary_expr(self):
-        if self.at_op("-"):
-            loc = self.take().loc
-            return Unary("-", self.unary_expr(), loc)
-        if self.at_kw("NOT"):
-            loc = self.take().loc
-            return Unary("NOT", self.unary_expr(), loc)
-        return self.primary()
-
-    def primary(self):
-        tok = self.cur
-        if tok.kind == "num":
-            self.take()
-            return Num(tok.value, tok.loc)
-        if tok.kind == "ident":
-            self.take()
-            return Ref(tok.text, tok.loc)
-        if self.at_kw("DT", "TIME"):
-            self.take()
-            return Builtin(tok.text, tok.loc)
-        if self.at_kw("MIN", "MAX", "ABS"):
-            self.take()
-            self.expect_op("(")
-            args = [self.expr()]
-            while self.at_op(","):
-                self.take()
-                args.append(self.expr())
-            self.expect_op(")")
-            if tok.text == "ABS" and len(args) != 1:
-                raise dsl._LineError(Diagnostic("ABS takes exactly one argument", tok.loc))
-            return Call(tok.text, tuple(args), tok.loc)
-        if self.at_op("("):
-            self.take()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise dsl._LineError(Diagnostic(f"expected expression, got {self._describe()}", tok.loc))
-
-    def idlist(self) -> list[str]:
-        names = [self.expect_ident().text]
-        while self.at_op(","):
-            self.take()
-            names.append(self.expect_ident().text)
-        return names
-
-
-def reference_parse_statement(p: ReferenceLineParser) -> tuple[str, object]:
-    tok = p.cur
-    if p.at_kw("SPEC"):
-        p.take()
-        p.expect_kw("START")
-        p.expect_op("=")
-        start = p.expect_num().value
-        p.expect_kw("STOP")
-        p.expect_op("=")
-        stop = p.expect_num().value
-        p.expect_kw("DT")
-        p.expect_op("=")
-        dt = p.expect_num().value
-        p.expect_end()
-        return "spec", (RunSpec(start, stop, dt), tok.loc)
-    if p.at_kw("CONST", "AUX", "FLOW", "STOCK"):
-        kind = p.take().text.lower()
-        name = p.expect_ident()
-        p.declared = Variable(name.text, kind, Num(0.0), loc=name.loc)
-        p.expect_op("=")
-        expr = p.expr()
-        inflows: list[str] = []
-        outflows: list[str] = []
-        if kind == "stock":
-            p.expect_op("{")
-            if p.at_kw("INFLOW"):
-                p.take()
-                p.expect_op(":")
-                inflows = p.idlist()
-            if p.at_kw("OUTFLOW"):
-                p.take()
-                p.expect_op(":")
-                outflows = p.idlist()
-            p.expect_op("}")
-        p.expect_end()
-        return "var", Variable(name.text, kind, expr, tuple(inflows), tuple(outflows), loc=name.loc)
-    raise dsl._LineError(
-        Diagnostic(f"expected SPEC, CONST, AUX, FLOW or STOCK, got {p._describe()}", tok.loc)
-    )
-
+# The table-driven lexer and parser must agree with the reference front end
+# on every line: tokens, trees, every `loc`, diagnostics and the stand-in
+# declaration of a line that fails.
 
 def _explicit(obj):
     """`obj` as nested tuples of type names and field values, with every

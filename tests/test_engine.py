@@ -10,6 +10,7 @@ import sdloops as sl
 from reference import print_model
 from sdloops.dsl import Bin, Builtin, Call, If, Num, Ref, Unary, iter_if_nodes
 from sdloops.engine import compile_expr, run_to_csv
+from strategies import DIVIDES_BY_ZERO, models
 
 
 class TestEvaluationOrder:
@@ -225,74 +226,7 @@ class TestCompileExpr:
             f({}, 0.0, 1.0, [None])
 
 
-# hypothesis: compiled equations against the tree-walking interpreter they
-# replaced, kept here as the reference
-
-
-def eval_expr(node, values, t, dt, slots=None, record=None, override=None):
-    """Evaluate an expression tree against a value environment.
-
-    With `record`, the branch of every evaluated IF node is written into
-    record[slot].  With `override`, IF nodes take the recorded branch and
-    their conditions are not evaluated at all (branch-gated evaluation).
-    """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Ref):
-        return values[node.name]
-    if isinstance(node, Builtin):
-        return dt if node.name == "DT" else t
-    if isinstance(node, Unary):
-        v = eval_expr(node.operand, values, t, dt, slots, record, override)
-        return -v if node.op == "-" else (1.0 if v == 0.0 else 0.0)
-    if isinstance(node, Bin):
-        left = eval_expr(node.left, values, t, dt, slots, record, override)
-        right = eval_expr(node.right, values, t, dt, slots, record, override)
-        op = node.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return left / right
-        if op == "<":
-            return 1.0 if left < right else 0.0
-        if op == ">":
-            return 1.0 if left > right else 0.0
-        if op == "<=":
-            return 1.0 if left <= right else 0.0
-        if op == ">=":
-            return 1.0 if left >= right else 0.0
-        if op == "=":
-            return 1.0 if left == right else 0.0
-        if op == "<>":
-            return 1.0 if left != right else 0.0
-        if op == "AND":
-            return 1.0 if (left != 0.0 and right != 0.0) else 0.0
-        if op == "OR":
-            return 1.0 if (left != 0.0 or right != 0.0) else 0.0
-        raise ValueError(f"unknown operator {op!r}")
-    if isinstance(node, If):
-        if override is not None:
-            taken = override[slots[id(node)]]
-            if taken is None:
-                raise ValueError("no recorded branch for IF node")
-        else:
-            taken = eval_expr(node.cond, values, t, dt, slots, record, override) != 0.0
-            if record is not None:
-                record[slots[id(node)]] = taken
-        branch = node.then if taken else node.orelse
-        return eval_expr(branch, values, t, dt, slots, record, override)
-    if isinstance(node, Call):
-        args = [eval_expr(a, values, t, dt, slots, record, override) for a in node.args]
-        if node.fn == "MIN":
-            return min(args)
-        if node.fn == "MAX":
-            return max(args)
-        return abs(args[0])
-    raise TypeError(f"not an expression node: {node!r}")
+# hypothesis: compiled equations against reference.eval_expr, the interpreter they replaced
 
 
 _NAMES = ("x", "y", "z")
@@ -342,7 +276,7 @@ def _slots(expr):
 def test_record_form_matches_reference(expr, env, t, dt):
     n = len(iter_if_nodes(expr))
     expected, got = [None] * n, [None] * n
-    want = _outcome(lambda: eval_expr(expr, dict(env), t, dt, _slots(expr), record=expected))
+    want = _outcome(lambda: reference.eval_expr(expr, dict(env), t, dt, _slots(expr), record=expected))
     assert _outcome(lambda: compile_expr(expr)(dict(env), t, dt, got)) == want
     assert got == expected
 
@@ -352,49 +286,25 @@ def test_record_form_matches_reference(expr, env, t, dt):
 def test_gated_form_matches_override(expr, env, t, dt, data):
     n = len(iter_if_nodes(expr))
     branches = data.draw(st.lists(st.sampled_from([True, False, None]), min_size=n, max_size=n))
-    want = _outcome(lambda: eval_expr(expr, dict(env), t, dt, _slots(expr), override=branches))
+    want = _outcome(lambda: reference.eval_expr(expr, dict(env), t, dt, _slots(expr), override=branches))
     assert _outcome(lambda: compile_expr(expr, gated=True)(dict(env), t, dt, branches)) == want
 
 
-@st.composite
-def _declarations(draw):
-    """Declaration lines of a valid model: constants that form a random
-    acyclic graph, stock initial values that reference constants and
-    earlier stocks, and the flows of a synthetic model."""
-    coef = st.sampled_from(["0.25", "0.5", "1.5", "2"])
-
-    def expr(names: list[str]) -> str:
-        picked = draw(st.lists(st.sampled_from(names), unique=True, max_size=3)) if names else []
-        return " ".join([draw(coef)] + [f"{draw(st.sampled_from('+-'))} {draw(coef)} * {n}" for n in picked])
-
-    spec = sl.SyntheticSpec(
-        stocks=draw(st.integers(2, 4)), density=draw(st.sampled_from([0.5, 1.0])), seed=draw(st.integers(0, 999))
-    )
-    consts = [f"k{i}" for i in range(draw(st.integers(0, 8)))]
-    lines = [f"CONST {c} = {expr(consts[:i])}" for i, c in enumerate(consts)]
-    stocks: list[str] = []
-    for line in sl.gen_synthetic(spec).splitlines():
-        if line.startswith("SPEC"):
-            lines.append(line.replace("STOP = 100", "STOP = 12"))
-        elif line.startswith("FLOW"):
-            lines.append(line)
-        elif line.startswith("STOCK"):
-            name, rest = line[len("STOCK "):].split(" = ", 1)
-            lines.append(f"STOCK {name} = {expr(consts + stocks)} {rest[rest.index('{'):]}")
-            stocks.append(name)
-    return lines
-
-
 @settings(max_examples=40, deadline=None)
-@given(_declarations(), st.data())
+@given(models(), st.data())
 def test_declaration_order_changes_nothing(lines, data):
     """Metamorphic check: permuting the declaration lines leaves every
-    value, every link score and the exhaustive catalog unchanged."""
+    value, every link score and the exhaustive catalog unchanged, or the
+    step at which the run fails."""
     observed = []
     for order in (lines, data.draw(st.permutations(lines))):
         model = sl.parse_model("\n".join(order) + "\n")
         assert sl.validate(model) == []
-        run = sl.simulate(model)
+        try:
+            run = sl.simulate(model)
+        except sl.SimulationError as err:
+            observed.append(err.step)  # of the variables that fail at a step, the order picks one
+            continue
         series = sl.score_all(model, run)
         catalog = sl.discover(model, series, cap=10_000, method="exhaustive")
         assert not catalog.overflow
@@ -438,13 +348,13 @@ _fresh_names = st.one_of(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.one_of(st.sampled_from([sl.TWO_STOCK.source, sl.ARMS_RACE.source]), _declarations().map("\n".join)),
+    st.one_of(st.sampled_from([sl.TWO_STOCK.source, sl.ARMS_RACE.source]), models().map("\n".join)),
     st.data(),
 )
 def test_renaming_changes_nothing_but_names(text, data):
     """Metamorphic check: renaming every variable, through printed text,
     leaves values, link scores and the exhaustive catalog unchanged up to
-    the renaming."""
+    the renaming, or the step at which the run fails."""
     model = sl.parse_model(text)
     fresh = data.draw(st.lists(_fresh_names, min_size=len(model.variables), max_size=len(model.variables), unique=True))
     names = dict(zip(model.names(), fresh))
@@ -461,11 +371,18 @@ def test_renaming_changes_nothing_but_names(text, data):
     observed = []
     for m in (model, sl.parse_model(print_model(renamed))):
         assert sl.validate(m) == []
-        run = sl.simulate(m)
+        try:
+            run = sl.simulate(m)
+        except sl.SimulationError as err:
+            observed.append(err.step)
+            continue
         series = sl.score_all(m, run)
         catalog = sl.discover(m, series, cap=10_000, method="exhaustive")
         assert not catalog.overflow
         observed.append((run, series, catalog))
+    if not all(isinstance(o, tuple) for o in observed):
+        assert observed[0] == observed[1]
+        return
     (run, series, catalog), (run2, series2, catalog2) = observed
     assert {names[v]: repr(values) for v, values in run.values.items()} == {
         v: repr(values) for v, values in run2.values.items()
@@ -480,58 +397,6 @@ def test_renaming_changes_nothing_but_names(text, data):
 # hypothesis: the step loop against the one that looked everything up by name
 
 
-def _equation(draw, names: list[str], depth: int = 3) -> str:
-    """Equation text over `names` with IF, MIN, ABS, unary minus and
-    division; its numbers make -0.0 (0 * -1), division by zero and overflow
-    (1e300 * 1e300) possible."""
-    leaves = [*names, "0", "0.1", "0.3", "1", "2", "TIME", "1e300"]
-    if depth == 0 or draw(st.integers(0, 3)) == 0:
-        return draw(st.sampled_from(leaves))
-    sub = lambda: _equation(draw, names, depth - 1)  # noqa: E731
-    form = draw(st.sampled_from(["bin", "if", "min", "abs", "neg", "negzero"]))
-    if form == "bin":
-        return f"({sub()} {draw(st.sampled_from(['+', '-', '*', '/']))} {sub()})"
-    if form == "if":
-        return f"(IF {sub()} {draw(st.sampled_from(['>', '<=', '=']))} {sub()} THEN {sub()} ELSE {sub()})"
-    if form == "min":
-        return f"MIN({sub()}, {sub()})"
-    if form == "abs":
-        return f"ABS({sub()})"
-    if form == "neg":
-        return f"-{sub()}"
-    return f"(0 * -{sub()})"  # -0.0 where the operand is positive
-
-
-@st.composite
-def _simulated_models(draw):
-    """A valid model: constants, stocks with several inflows and
-    outflows, auxiliaries and flows that each reference the ones declared
-    before them."""
-    consts = [f"k{i}" for i in range(draw(st.integers(0, 2)))]
-    stocks = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
-    auxes = [f"a{i}" for i in range(draw(st.integers(0, 2)))]
-    flows = [f"f{i}" for i in range(draw(st.integers(1, 5)))]
-    dt = draw(st.sampled_from(["1", "0.5", "0.25"]))
-    lines = [f"SPEC START = 0 STOP = {draw(st.integers(1, 6))} DT = {dt}"]
-    lines += [f"CONST {c} = {draw(st.sampled_from(['0', '0.5', '3']))}" for c in consts]
-    for s in stocks:
-        both = draw(st.lists(st.sampled_from(flows), unique=True, max_size=5))
-        split = draw(st.integers(0, len(both)))
-        inflows, outflows = both[:split], both[split:]
-        attached = " ".join(
-            f"{kind}: {', '.join(names)}" for kind, names in (("inflow", inflows), ("outflow", outflows)) if names
-        )
-        lines.append(f"STOCK {s} = {draw(st.sampled_from(['0', '1', '-2', '100']))} {{ {attached} }}")
-    known = consts + stocks
-    for name in auxes + flows:
-        kind = "AUX" if name in auxes else "FLOW"
-        lines.append(f"{kind} {name} = {_equation(draw, known)}")
-        known.append(name)
-    model = sl.parse_model("\n".join(lines) + "\n")
-    assert not [d for d in sl.validate(model) if d.severity == "error"]
-    return model
-
-
 def _simulation(simulate, model):
     """A run's values as bits, its branch trace, times and variables; or
     the SimulationError it raised, with its variable, step and location."""
@@ -543,7 +408,6 @@ def _simulation(simulate, model):
     return ("run", values, run.branch_trace, run.times, run.variables)
 
 
-_DIVIDES_BY_ZERO = "SPEC START = 0 STOP = 4 DT = 1\nSTOCK s = 2 { outflow: f }\nFLOW f = 1 / (s - 1)\n"
 _FLOW_OVERFLOWS = "SPEC START = 0 STOP = 4 DT = 1\nSTOCK s = 1e100 { inflow: f }\nFLOW f = s * s\n"
 _STOCK_OVERFLOWS = (
     "SPEC START = 0 STOP = 4 DT = 1\nSTOCK s = 1e308 { inflow: f, g }\nFLOW f = s\nFLOW g = IF s > 0 THEN s ELSE 0\n"
@@ -551,8 +415,8 @@ _STOCK_OVERFLOWS = (
 
 
 @settings(max_examples=300, deadline=None)
-@given(_simulated_models())
-@example(sl.parse_model(_DIVIDES_BY_ZERO))
+@given(models().map(lambda lines: sl.parse_model("\n".join(lines) + "\n")))
+@example(sl.parse_model(DIVIDES_BY_ZERO))
 @example(sl.parse_model(_FLOW_OVERFLOWS))
 @example(sl.parse_model(_STOCK_OVERFLOWS))
 # a lone -0.0 inflow adds 0.0, and an IF in an AUX that a flow reads
@@ -571,7 +435,7 @@ def test_simulate_matches_reference(model):
 
 @pytest.mark.parametrize(
     "text, variable, step",
-    [(_DIVIDES_BY_ZERO, "f", 1), (_FLOW_OVERFLOWS, "f", 1), (_STOCK_OVERFLOWS, "s", 1)],
+    [(DIVIDES_BY_ZERO, "f", 1), (_FLOW_OVERFLOWS, "f", 1), (_STOCK_OVERFLOWS, "s", 1)],
 )
 def test_simulation_errors_match_reference(text, variable, step):
     model = sl.parse_model(text)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sdloops as sl
+from reference import _reference
 from sdloops._jsonutil import indented_json_pieces, ranking_json_pieces
 from sdloops.discovery import LoopCatalog, WeightedDigraph, enumerate_loops
 from sdloops.scoring import LinkScoreSeries
@@ -18,14 +19,6 @@ from sdloops.scoring import LinkScoreSeries
 
 def indented_json(obj):
     return "".join(indented_json_pieces(obj))
-
-
-def _reference(obj):
-    """("text", text) or ("raises", exception type, message)."""
-    try:
-        return ("text", json.dumps(obj, indent=2, allow_nan=False))
-    except (ValueError, TypeError) as err:
-        return ("raises", type(err), str(err))
 
 
 def _writer(obj):

@@ -1,15 +1,14 @@
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference
 import sdloops as sl
-from sdloops.engine import compile_equation
-from sdloops.scoring import LinkScoreSeries, _sign, link_score_step
+from sdloops.scoring import LinkScoreSeries, link_score_step
+from strategies import CANCELLING_INFLOWS, DIVIDES_AT_MIXED_POINT, STEEP_GATE
 
 # Frozen by hand execution of the two-stock fixture (stocks double every
 # step; Flow_2 takes its then-branch only at evaluation time 4, Flow_1
@@ -73,7 +72,7 @@ class TestStepApi:
     def test_step_matches_series(self, two_stock_model, two_stock_run, two_stock_series):
         for k in (1, 5, 7, 12):
             step = link_score_step(two_stock_model, two_stock_run, k)
-            assert step == {e: two_stock_series.series[e][k] for e in two_stock_series.edges}
+            assert list(step.items()) == [(e, two_stock_series.series[e][k]) for e in two_stock_series.edges]
 
     def test_branches_read_once_per_destination_per_step(
         self, two_stock_model, two_stock_run, two_stock_series, monkeypatch
@@ -114,36 +113,13 @@ class TestStepApi:
         assert all(v == 0.0 for scores in series.series.values() for v in scores)
 
 
-def _coefficients(model, aux_name):
-    """Exact linear coefficients of the non-constant inputs, by
-    unit-vector evaluation with constants held at their values."""
-    from sdloops.dsl import expr_refs
-    from sdloops.engine import _eval_initials, compile_expr
-
-    var = model.variable(aux_name)
-    refs = expr_refs(var.expr)
-    consts = {v.name for v in model.by_kind("const")}
-    initials = _eval_initials(model)
-    base = {r: (initials[r] if r in consts else 0.0) for r in refs}
-    f = compile_expr(var.expr)
-    zero = f(dict(base), 0.0, 1.0, {})
-    coefs = {}
-    for r in refs:
-        if r in consts:
-            continue
-        env = dict(base)
-        env[r] = 1.0
-        coefs[r] = f(env, 0.0, 1.0, {}) - zero
-    return coefs
-
-
 class TestArmsRaceScores:
     def test_closed_form_oracle_for_equation_edges(self, arms_model, arms_run, arms_series):
         # every aux/flow equation in the fixture is linear, so the score of
         # x -> z must equal |coef * dx / dz| with the matching sign
         run = arms_run
         for dst in ("target_A", "target_B", "target_C", "build_A", "build_B", "build_C"):
-            coefs = _coefficients(arms_model, dst)
+            coefs = reference.linear_coefficients(arms_model, dst)
             for src, coef in coefs.items():
                 for k in range(1, run.n + 1):
                     dz = run.values[dst][k] - run.values[dst][k - 1]
@@ -263,6 +239,12 @@ class TestComposites:
         with pytest.raises(ValueError):
             sl.composite_scores(two_stock_series, "median")
 
+    def test_avg_mode_needs_a_step(self):
+        series = LinkScoreSeries((("x", "z"),), (0.0,), {("x", "z"): [0.0]})
+        assert sl.composite_scores(series, "max") == {("x", "z"): 0.0}
+        with pytest.raises(ValueError, match="at least one step"):
+            sl.composite_scores(series, "avg")
+
 
 class TestSeriesCsv:
     def test_format(self, two_stock_series):
@@ -274,170 +256,8 @@ class TestSeriesCsv:
         assert float(cells[3]) == 0.0
 
 
-# hypothesis: the per-destination scoring loop and composite weights
-# against the two-loop forms they replaced, kept here as the reference
-
-
-def reference_link_score_step(model, run, k):
-    """Scores at step k: one loop over (src, dst) edges into aux/flow
-    equations, recomputing dz per edge, then one loop over flow edges."""
-    byname = {v.name: v for v in model.variables}
-    eq_edges, flow_edges = [], []
-    for src, dst in sl.dependency_graph(model).edges:
-        if byname[dst].kind == "stock":
-            flow_edges.append((src, dst, 1.0 if src in byname[dst].inflows else -1.0))
-        else:
-            eq_edges.append((src, dst))
-    gated = {v.name: compile_equation(v, gated=True) for v in model.by_kind("aux", "flow")}
-    dt = run.dt
-    t_old = run.times[k - 1]
-    values = run.values
-    env_old = {name: values[name][k - 1] for name in run.variables}
-    scores = {}
-    for src, dst in eq_edges:
-        dz = values[dst][k] - values[dst][k - 1]
-        if dz == 0.0:
-            scores[(src, dst)] = 0.0
-            continue
-        dx = values[src][k] - values[src][k - 1]
-        if dx == 0.0:
-            scores[(src, dst)] = 0.0
-            continue
-        saved = env_old[src]
-        env_old[src] = values[src][k]
-        try:
-            mixed = gated[dst](env_old, t_old, dt, run.branches_at(dst, k - 1))
-        except (ZeroDivisionError, ValueError):
-            scores[(src, dst)] = 0.0
-            continue
-        finally:
-            env_old[src] = saved
-        dxz = mixed - values[dst][k - 1]
-        if not math.isfinite(dxz):
-            scores[(src, dst)] = 0.0
-            continue
-        scores[(src, dst)] = abs(dxz / dz) * _sign(dxz * dx)
-    for flow, stock, sign in flow_edges:
-        ds = values[stock][k] - values[stock][k - 1]
-        if ds == 0.0:
-            s = 0.0
-        else:
-            contribution = sign * values[flow][k - 1] * dt
-            s = abs(contribution / ds) * sign
-        scores[(flow, stock)] = s
-    # a score that overflowed, in either formula, is 0
-    return {edge: s if math.isfinite(s) else 0.0 for edge, s in scores.items()}
-
-
-@st.composite
-def _small_models(draw):
-    """Model text with up to three stocks, two constants, two auxiliaries
-    and three flows.  Equations mix IF, MIN, ABS and division; a flow may
-    be an inflow, an outflow, a transfer between two stocks or constant."""
-    stocks = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
-    consts = [f"c{i}" for i in range(draw(st.integers(0, 2)))]
-    number = st.sampled_from(["0", "1", "2", "0.5", "3"])
-
-    def expr(names, depth=2):
-        leaf = draw(st.sampled_from(names + ["NUM"]))
-        if leaf == "NUM":
-            leaf = draw(number)
-        if depth == 0 or draw(st.booleans()):
-            return leaf
-        a, b, c = (expr(names, depth - 1) for _ in range(3))
-        return draw(st.sampled_from([
-            f"({leaf} + {a})",
-            f"({leaf} - {a})",
-            f"({leaf} * {a})",
-            f"({leaf} / ({a} - {b}))",
-            f"(IF {leaf} > {a} THEN {b} ELSE {c})",
-            f"MIN({leaf}, {a})",
-            f"ABS({leaf} - {a})",
-        ]))
-
-    lines = [f"SPEC START = 0 STOP = 6 DT = {draw(st.sampled_from(['1', '0.5']))}"]
-    lines += [f"CONST {c} = {draw(number)}" for c in consts]
-    names = stocks + consts
-    for i in range(draw(st.integers(0, 2))):
-        lines.append(f"AUX a{i} = {expr(names)}")
-        names = names + [f"a{i}"]
-    inflows = {s: [] for s in stocks}
-    outflows = {s: [] for s in stocks}
-    for i in range(draw(st.integers(1, 3))):
-        flow = f"f{i}"
-        lines.append(f"FLOW {flow} = {expr(names)}")
-        into = draw(st.sampled_from(stocks + [None]))
-        out_of = draw(st.sampled_from([s for s in stocks if s != into] + [None]))
-        if into:
-            inflows[into].append(flow)
-        if out_of:
-            outflows[out_of].append(flow)
-    for s in stocks:
-        sections = [
-            f"{kind}: {', '.join(flows)}" for kind, flows in (("inflow", inflows[s]), ("outflow", outflows[s])) if flows
-        ]
-        lines.append(f"STOCK {s} = {draw(number)} {{ {' '.join(sections)} }}")
-    return "\n".join(lines) + "\n"
-
-
-# s1's change alone makes the denominator of g zero at the mixed point
-_DIVIDES_AT_MIXED_POINT = """\
-SPEC START = 0 STOP = 4 DT = 1
-FLOW up = 1
-FLOW g = IF s0 > 0 THEN 1 / (s0 - s1) + s0 ELSE s1
-STOCK s0 = 1 { inflow: up }
-STOCK s1 = 0 { inflow: up }
-STOCK s2 = 0 { inflow: g }
-"""
-_TRANSFER = """\
-SPEC START = 0 STOP = 4 DT = 1
-CONST c0 = 2
-AUX a0 = IF s0 > 6 THEN c0 ELSE s0 / 2
-FLOW move = MIN(a0, s0)
-STOCK s0 = 8 { outflow: move }
-STOCK s1 = 0 { inflow: move }
-"""
-# a and b cancel, so the flow-share quotients of a and b overflow
-_CANCELLING_INFLOWS = """\
-SPEC START = 0 STOP = 2 DT = 1
-FLOW a = 1e300
-FLOW b = -1e300
-FLOW c = 1e-300
-STOCK s = 0 { inflow: a, b, c }
-"""
-# s moves z by 1e300 * 0.1 at the mixed point while z moves by 1e-15
-_STEEP_GATE = """\
-SPEC START = 0 STOP = 3 DT = 1
-STOCK s = 4.9 { inflow: f }
-FLOW f = 0.2 * z
-AUX z = IF s > 5 THEN 1.000000000000001 ELSE 1e300 * (s - 4.9) + 1
-"""
-
-
-@settings(max_examples=150, deadline=None)
-@given(_small_models())
-@example(_DIVIDES_AT_MIXED_POINT)
-@example(_TRANSFER)
-@example(_CANCELLING_INFLOWS)
-@example(_STEEP_GATE)
-def test_link_score_step_matches_two_loop_reference(text):
-    model = sl.parse_model(text)
-    assert sl.validate(model) == []
-    try:
-        run = sl.simulate(model)
-    except sl.SimulationError:
-        assume(False)
-    series = sl.score_all(model, run)
-    for k in range(1, run.n + 1):
-        got = link_score_step(model, run, k)
-        want = reference_link_score_step(model, run, k)
-        assert list(got) == list(series.edges)
-        assert {e: repr(s) for e, s in got.items()} == {e: repr(s) for e, s in want.items()}
-        assert all(repr(series.series[e][k]) == repr(s) for e, s in got.items())
-
-
 @pytest.mark.parametrize(
-    "text, edge", [(_CANCELLING_INFLOWS, ("a", "s")), (_CANCELLING_INFLOWS, ("b", "s")), (_STEEP_GATE, ("s", "z"))]
+    "text, edge", [(CANCELLING_INFLOWS, ("a", "s")), (CANCELLING_INFLOWS, ("b", "s")), (STEEP_GATE, ("s", "z"))]
 )
 def test_overflowing_score_is_zero(text, edge):
     model = sl.parse_model(text)
@@ -447,30 +267,12 @@ def test_overflowing_score_is_zero(text, edge):
 
 
 def test_mixed_point_division_by_zero_scores_zero():
-    model = sl.parse_model(_DIVIDES_AT_MIXED_POINT)
+    model = sl.parse_model(DIVIDES_AT_MIXED_POINT)
     run = sl.simulate(model)
     for k in range(1, run.n + 1):
         assert run.values["g"][k] != run.values["g"][k - 1]
         assert link_score_step(model, run, k)[("s1", "g")] == 0.0
         assert link_score_step(model, run, k)[("s0", "g")] != 0.0
-
-
-def reference_composite_weight(scores, mode):
-    if mode == "max":
-        best = 0.0
-        best_mag = 0.0
-        for s in scores:
-            if abs(s) > best_mag:
-                best_mag = abs(s)
-                best = s
-        return best
-    n = len(scores) - 1
-    mag = reduce(add, (abs(s) for s in scores[1:]), 0) / n  # sum() as Python 3.11 and earlier compute it
-    if mag == 0.0:
-        return 0.0
-    pos = sum(1 for s in scores[1:] if s > 0)
-    neg = sum(1 for s in scores[1:] if s < 0)
-    return mag if pos >= neg else -mag
 
 
 _observations = st.one_of(
@@ -492,4 +294,4 @@ def test_composite_weights_match_reference(columns):
     for mode in ("max", "avg"):
         weights = sl.composite_scores(series, mode)
         for e in edges:
-            assert repr(weights[e]) == repr(reference_composite_weight(series.series[e], mode))
+            assert repr(weights[e]) == repr(reference.reference_composite_weight(series.series[e], mode))
