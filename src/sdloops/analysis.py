@@ -166,7 +166,7 @@ def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, l
     catalog order from the int 0: an inactive loop would add 0.0, and
     x + 0.0 == x for x >= 0."""
     if series.n == 0:
-        raise AnalysisError("the score series has a single time: there are no steps to average over")
+        raise AnalysisError("the score series has a single time: loops are scored over steps 1..n, and n is 0")
     index = _ScoreIndex(series)
     records = catalog.loops()
     active = [_active_scores(rec.cycle, index) for rec in records]

@@ -8,11 +8,12 @@ or writes a definition out step by step; do not optimise or change them.
   `test_nesting_limit_matches_reference`).
 * `eval_expr`: `engine.compile_expr`, recording and gated (`test_engine.py`:
   `test_record_form_matches_reference`, `test_gated_form_matches_override`).
-* `simulate`: `engine.simulate` (`test_engine.py`: `test_simulate_matches_reference`,
+* `simulate`: `engine.simulate` (`test_engine.py`: `test_simulate_and_score_all_match_reference`,
   `test_simulation_errors_match_reference`).
 * `linear_coefficients`: the exact gains of a linear equation (`test_scoring.py`:
   `test_closed_form_oracle_for_equation_edges`; `test_acceptance.py`: criterion 2).
-* `reference_link_score_step`: `scoring.score_all` (end to end only).
+* `reference_link_score_step`: `scoring.score_all` (`test_engine.py`:
+  `test_simulate_and_score_all_match_reference`).
 * `reference_composite_weight`: `scoring.composite_scores` (`test_scoring.py`:
   `test_composite_weights_match_reference`).
 * `StringGraph`, `graph_from_edges`, `step_graph`, `strongest_path_pass`, `_reference_sweep`:

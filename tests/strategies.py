@@ -7,22 +7,25 @@ form over earlier constants (a stock's also over earlier stocks), up to 5
 inflows and outflows per stock (so transfers), and 0-2 auxiliaries and 1-5 flows
 over all declared before them, with IF, MIN, ABS, unary minus, division,
 `0 * -x` (-0.0), `1e300` products and constant flows; DT 1, 0.5 or 0.25, STOP 1
-to 6.  `gen_synthetic` models and `test_cli_fuzz.py`'s bad input are drawn apart.
+to 6.  `synthetic_models()` draws `gen_synthetic` models, each with a loop, and
+`test_cli_fuzz.py` draws its bad input apart.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
 
+import sdloops as sl
+
 _NUMBERS = ["0", "0.5", "1", "-2", "3", "100"]
 _COEFFICIENTS = ["0.25", "0.5", "1.5", "2"]
 
 
-def _linear(draw, names: list[str]) -> str:
-    """A number, then up to three terms `+- coefficient * name`."""
+def _linear(draw, names: list[str], first: list[str] = _NUMBERS) -> str:
+    """A number from `first`, then up to three terms `+- coefficient * name`."""
     picked = draw(st.lists(st.sampled_from(names), unique=True, max_size=3)) if names else []
     terms = [f"{draw(st.sampled_from('+-'))} {draw(st.sampled_from(_COEFFICIENTS))} * {n}" for n in picked]
-    return " ".join([draw(st.sampled_from(_NUMBERS)), *terms])
+    return " ".join([draw(st.sampled_from(first)), *terms])
 
 
 def _equation(draw, names: list[str], depth: int = 3) -> str:
@@ -68,6 +71,25 @@ def models(draw) -> list[str]:
     for name in auxes + flows:
         lines.append(f"{'AUX' if name in auxes else 'FLOW'} {name} = {_equation(draw, known)}")
         known.append(name)
+    return lines
+
+
+@st.composite
+def synthetic_models(draw) -> list[str]:
+    """The declaration lines of a `gen_synthetic` model of 2-4 stocks over its
+    first 12 steps, with 0-8 constants and each stock's initial value drawn as
+    `models()` draws them, but led by a coefficient, never 0, so that stocks
+    move and the loops are active."""
+    spec = sl.SyntheticSpec(draw(st.integers(2, 4)), draw(st.sampled_from([0.5, 1.0])), draw(st.integers(0, 999)))
+    consts = [f"k{i}" for i in range(draw(st.integers(0, 8)))]
+    lines = [f"CONST {c} = {_linear(draw, consts[:i], _COEFFICIENTS)}" for i, c in enumerate(consts)]
+    stocks: list[str] = []
+    for line in sl.gen_synthetic(spec).replace("STOP = 100", "STOP = 12").splitlines()[1:]:
+        if line.startswith("STOCK"):
+            name, rest = line[len("STOCK "):].split(" = ", 1)
+            line = f"STOCK {name} = {_linear(draw, consts + stocks, _COEFFICIENTS)} {rest[rest.index('{'):]}"
+            stocks.append(name)
+        lines.append(line)
     return lines
 
 

@@ -26,16 +26,6 @@ BENCH_SPEC = sl.SyntheticSpec(stocks=12, density=1.0, seed=7)
 
 
 @pytest.fixture(scope="module")
-def arms(arms_model, arms_run, arms_series):
-    return arms_model, arms_run, arms_series
-
-
-@pytest.fixture(scope="module")
-def twostock(two_stock_model, two_stock_run, two_stock_series):
-    return two_stock_model, two_stock_run, two_stock_series
-
-
-@pytest.fixture(scope="module")
 def bench_series():
     model = sl.parse_model(sl.gen_synthetic(BENCH_SPEC))
     run = sl.simulate(model)
@@ -46,15 +36,14 @@ def _loop_lengths(catalog):
     return sorted(len(c) for c in catalog.cycles())
 
 
-def test_criterion_01_arms_race_structure(arms):
-    model, _, series = arms
+def test_criterion_01_arms_race_structure(arms_model, arms_series):
     t0 = time.perf_counter()
-    catalog = sl.discover(model, series)
+    catalog = sl.discover(arms_model, arms_series)
     elapsed = time.perf_counter() - t0
     assert catalog.provenance == "exhaustive"
     assert len(catalog) == 8
     assert _loop_lengths(catalog) == [2, 2, 2, 6, 6, 6, 9, 9]
-    profiles = {p.cycle: p for p in sl.build_profiles(catalog, series)}
+    profiles = {p.cycle: p for p in sl.build_profiles(catalog, arms_series)}
     polarity = {2: set(), 6: set(), 9: set()}
     for cycle, profile in profiles.items():
         polarity[len(cycle)].add(profile.polarity)
@@ -65,11 +54,10 @@ def test_criterion_01_arms_race_structure(arms):
     print(f"PASS criterion 1: arms race has 8 loops (3 balancing, 5 reinforcing) in {elapsed:.3f}s")
 
 
-def test_criterion_02_arms_race_gains(arms):
-    model, _, series = arms
-    catalog = sl.discover(model, series)
-    aux_names = {v.name for v in model.by_kind("aux")}
-    coefs = {name: linear_coefficients(model, name) for name in aux_names}
+def test_criterion_02_arms_race_gains(arms_model, arms_series):
+    catalog = sl.discover(arms_model, arms_series)
+    aux_names = {v.name for v in arms_model.by_kind("aux")}
+    coefs = {name: linear_coefficients(arms_model, name) for name in aux_names}
 
     gains = {6: [], 9: []}
     for rec in catalog.loops():
@@ -94,15 +82,14 @@ def test_criterion_02_arms_race_gains(arms):
     print("PASS criterion 2: open-loop gains pairwise {1.0, 0.99, 0.99} (all <= 1), three-party {0.81, 1.21}")
 
 
-def test_criterion_03_arms_race_dominance_shift(arms):
-    model, run, series = arms
-    catalog = sl.discover(model, series)
-    rel = sl.relative_scores(catalog, series)
+def test_criterion_03_arms_race_dominance_shift(arms_model, arms_run, arms_series):
+    catalog = sl.discover(arms_model, arms_series)
+    rel = sl.relative_scores(catalog, arms_series)
     three_party = [c for c in rel if len(c) == 9]
     assert len(three_party) == 2
-    quarter_start = 3 * run.n // 4
-    combined = [sum(rel[c][k] for c in three_party) for k in range(run.n + 1)]
-    for k in range(quarter_start, run.n + 1):
+    quarter_start = 3 * arms_run.n // 4
+    combined = [sum(rel[c][k] for c in three_party) for k in range(arms_run.n + 1)]
+    for k in range(quarter_start, arms_run.n + 1):
         assert combined[k] > 0.5, (k, combined[k])
     print(
         "PASS criterion 3: three-party loops hold {:.0%}..{:.0%} of behavior over the final quarter".format(
@@ -111,36 +98,34 @@ def test_criterion_03_arms_race_dominance_shift(arms):
     )
 
 
-def test_criterion_04_two_stock_link_pattern(twostock):
-    model, run, series = twostock
-    s1_f2 = series.series[("Stock_1", "Flow_2")]
+def test_criterion_04_two_stock_link_pattern(two_stock_run, two_stock_series):
+    s1_f2 = two_stock_series.series[("Stock_1", "Flow_2")]
     assert sum(1 for s in s1_f2 if s != 0.0) == 1
     assert s1_f2[5] == 1.0
 
-    s2_f1 = series.series[("Stock_2", "Flow_1")]
+    s2_f1 = two_stock_series.series[("Stock_2", "Flow_1")]
     assert all(s2_f1[k] == 0.0 for k in range(0, 7))
     assert all(s2_f1[k] == 1.0 for k in range(7, 13))
 
     for flow, stock in (("Flow_1", "Stock_1"), ("Flow_2", "Stock_2")):
-        scores = series.series[(flow, stock)]
+        scores = two_stock_series.series[(flow, stock)]
         for k in range(1, 13):
-            changed = run.values[stock][k] != run.values[stock][k - 1]
+            changed = two_stock_run.values[stock][k] != two_stock_run.values[stock][k - 1]
             assert scores[k] == (1.0 if changed else 0.0)
     print("PASS criterion 4: cross links spike at 5 / step up at 7; flow-to-stock links are 1 while stocks change")
 
 
-def test_criterion_05_two_stock_exclusivity(twostock):
-    model, _, series = twostock
-    catalog = sl.discover(model, series)
+def test_criterion_05_two_stock_exclusivity(two_stock_model, two_stock_series):
+    catalog = sl.discover(two_stock_model, two_stock_series)
     long_loop = ("Flow_1", "Stock_1", "Flow_2", "Stock_2")
-    assert sl.loop_score_series(long_loop, series) == [0.0] * 13
+    assert sl.loop_score_series(long_loop, two_stock_series) == [0.0] * 13
 
-    rel = sl.relative_scores(catalog, series)
+    rel = sl.relative_scores(catalog, two_stock_series)
     cross_active = [
         k
         for k in range(1, 13)
-        if series.series[("Stock_1", "Flow_2")][k] != 0.0
-        or series.series[("Stock_2", "Flow_1")][k] != 0.0
+        if two_stock_series.series[("Stock_1", "Flow_2")][k] != 0.0
+        or two_stock_series.series[("Stock_2", "Flow_1")][k] != 0.0
     ]
     assert cross_active  # the coupling phase exists
     for k in cross_active:
@@ -155,18 +140,16 @@ def test_criterion_05_two_stock_exclusivity(twostock):
     "(0.5 and ~0.9 over 12 steps) force early steps where both minor loops are "
     "active with equal magnitude, so no loop has relative score 1 there",
 )
-def test_criterion_05_literal_every_active_step(twostock):
-    model, _, series = twostock
-    catalog = sl.discover(model, series)
-    rel = sl.relative_scores(catalog, series)
+def test_criterion_05_literal_every_active_step(two_stock_model, two_stock_series):
+    catalog = sl.discover(two_stock_model, two_stock_series)
+    rel = sl.relative_scores(catalog, two_stock_series)
     for k in range(1, 13):
         if any(rel[c][k] != 0.0 for c in rel):
             assert sorted(rel[c][k] for c in rel) == [0.0, 0.0, 1.0], k
 
 
-def test_criterion_06_two_stock_composites(twostock):
-    _, _, series = twostock
-    avg = sl.composite_scores(series, "avg")
+def test_criterion_06_two_stock_composites(two_stock_series):
+    avg = sl.composite_scores(two_stock_series, "avg")
     expected = {
         ("Stock_1", "Flow_1"): 0.5,
         ("Stock_2", "Flow_2"): 0.9,
@@ -175,7 +158,7 @@ def test_criterion_06_two_stock_composites(twostock):
     }
     for edge, want in expected.items():
         assert abs(abs(avg[edge]) - want) <= 0.05, (edge, avg[edge])
-    maxw = sl.composite_scores(series, "max")
+    maxw = sl.composite_scores(two_stock_series, "max")
     assert all(w == 1.0 for w in maxw.values())
     print("PASS criterion 6: avg composites within 0.05 of 0.5/0.9/0.1/0.5; max composites exactly 1")
 
@@ -269,8 +252,8 @@ def test_criterion_10_ordering_speedup(bench_series):
     )
 
 
-def test_criterion_11_normalization_invariant(arms, twostock):
-    cases = [arms[0:3:2], twostock[0:3:2]]
+def test_criterion_11_normalization_invariant(arms_model, arms_series, two_stock_model, two_stock_series):
+    cases = [(arms_model, arms_series), (two_stock_model, two_stock_series)]
     for seed in (0, 1, 2):
         model = sl.parse_model(sl.gen_synthetic(sl.SyntheticSpec(stocks=4, density=1.0, seed=seed)))
         run = sl.simulate(model)

@@ -338,8 +338,9 @@ class TestRankAndFilter:
         catalog = LoopCatalog()
         catalog.add(("a", "b"), 1.0, "static")
         for call in (sl.build_profiles, sl.relative_scores, sl.rank_and_filter):
-            with pytest.raises(AnalysisError, match="single time"):
-                call(catalog, _series(ab=[1.0], ba=[1.0]))
+            for loops in (catalog, LoopCatalog()):  # an empty catalog too
+                with pytest.raises(AnalysisError, match="single time"):
+                    call(loops, _series(ab=[1.0], ba=[1.0]))
 
 
 class TestOverlapRatio:

@@ -166,23 +166,6 @@ class TestAnalyze:
             assert (metadata["cap"], metadata["stride"]) == (1000, 1)
 
 
-class TestScoreOverflow:
-    """A link score that overflows is 0; a loop score that overflows ends
-    the run with exit 3, whatever --threshold and --top ask for."""
-
-    @pytest.mark.parametrize("flags", [[], ["--top", "1"], ["--threshold", "0.5"]])
-    def test_overflowing_loop_score_is_a_runtime_failure(self, flags, tmp_path, capsys):
-        model = tmp_path / "m.sdm"
-        model.write_text(OVERFLOWING_LOOP, encoding="utf-8")
-        out = tmp_path / "ranking.json"
-        assert main(["analyze", str(model), "--out", str(out), *flags]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert not out.exists()
-        assert captured.err.startswith("error: non-finite number in JSON output")
-        assert len(captured.err.splitlines()) == 1
-
-
 class TestUnwritableOutput:
     """An output path that cannot be written is a usage error: exit 1 and
     one stderr line naming the path.  No other output is written."""

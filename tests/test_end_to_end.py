@@ -72,6 +72,7 @@ def _ranked(catalog, series, metadata: dict) -> tuple:
 @example(CANCELLING_INFLOWS, 1, 0.0, 1)
 @example(STEEP_GATE, 1000, 0.25, 1)
 @example(OVERFLOWING_LOOP, 1000, 0.0, 200)
+@example(OVERFLOWING_LOOP, 1000, 0.25, 1)  # the NaN loop ranks first, whatever --top and --threshold ask for
 @example(DIVIDES_BY_ZERO, 2, 0.25, 1)
 @example(sl.gen_synthetic(sl.SyntheticSpec(3)), 1, 0.0, 200)  # auto sweeps too
 def test_analyze_matches_the_reference_pipeline(text, cap, threshold, top):

@@ -10,7 +10,7 @@ import sdloops as sl
 from reference import print_model
 from sdloops.dsl import Bin, Builtin, Call, If, Num, Ref, Unary, iter_if_nodes
 from sdloops.engine import compile_expr, run_to_csv
-from strategies import DIVIDES_BY_ZERO, models
+from strategies import DIVIDES_BY_ZERO, models, synthetic_models
 
 
 class TestEvaluationOrder:
@@ -290,8 +290,12 @@ def test_gated_form_matches_override(expr, env, t, dt, data):
     assert _outcome(lambda: compile_expr(expr, gated=True)(dict(env), t, dt, branches)) == want
 
 
+# synthetic models: every one has loops, so the catalogs compared are not all empty
+_declarations = st.one_of(models(), synthetic_models())
+
+
 @settings(max_examples=40, deadline=None)
-@given(models(), st.data())
+@given(_declarations, st.data())
 def test_declaration_order_changes_nothing(lines, data):
     """Metamorphic check: permuting the declaration lines leaves every
     value, every link score and the exhaustive catalog unchanged, or the
@@ -348,7 +352,7 @@ _fresh_names = st.one_of(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.one_of(st.sampled_from([sl.TWO_STOCK.source, sl.ARMS_RACE.source]), models().map("\n".join)),
+    st.one_of(st.sampled_from([sl.TWO_STOCK.source, sl.ARMS_RACE.source]), _declarations.map("\n".join)),
     st.data(),
 )
 def test_renaming_changes_nothing_but_names(text, data):
@@ -429,8 +433,16 @@ _STOCK_OVERFLOWS = (
     "SPEC START = 0 STOP = 2 DT = 1\nSTOCK s = 0 { inflow: a, b, c outflow: d, e, f }\n"
     "FLOW a = 0.1\nFLOW b = 0.2\nFLOW c = 0.3\nFLOW d = 0.3\nFLOW e = 0.2\nFLOW f = 0.1\n"
 ))
-def test_simulate_matches_reference(model):
-    assert _simulation(sl.simulate, model) == _simulation(reference.simulate, model)
+def test_simulate_and_score_all_match_reference(model):
+    """The run, and then its link scores at every step (by repr), equal the references'."""
+    outcome = _simulation(sl.simulate, model)
+    assert outcome == _simulation(reference.simulate, model)
+    if outcome[0] == "run":
+        run = sl.simulate(model)
+        series = sl.score_all(model, run)
+        for k in range(1, run.n + 1):
+            want = reference.reference_link_score_step(model, run, k)
+            assert {e: repr(scores[k]) for e, scores in series.series.items()} == {e: repr(s) for e, s in want.items()}
 
 
 @pytest.mark.parametrize(
