@@ -119,38 +119,26 @@ def classify_polarity(score_series: list[float]) -> tuple[str, str | None]:
     return "mixed", None
 
 
-class _ScoreIndex:
-    """One run's link scores laid out for scoring many loops: each edge's
-    position, the per-step rows of all edge scores, and per edge an int
-    whose byte k is 1 where the edge's score at step k is nonzero (so
-    -0.0 counts as zero, as it does in `loop_score_series`)."""
-
-    __slots__ = ("n", "position", "rows", "masks")
-
-    def __init__(self, series: LinkScoreSeries):
-        columns = list(series.series.values())
-        self.n = series.n
-        self.position = dict(zip(series.series, range(len(columns))))
-        self.rows = list(zip(*columns))
-        self.masks = [int.from_bytes(bytes(map(bool, column)), "little") for column in columns]
-
-
-def _active_scores(cycle: Cycle, index: _ScoreIndex) -> tuple[bytes, list[int], list]:
+def _active_scores(cycle: Cycle, position: dict, rows: list, masks: list[int]) -> tuple[bytes, list[int], list]:
     """The loop's active-step mask (byte k is 1 where every edge of the
     loop is nonzero at step k), those steps, and the loop's score at each:
     the product of the same tuple `loop_score_series` multiplies, so the
-    same bits.  The loop's score is 0.0 at every other step."""
+    same bits.  The loop's score is 0.0 at every other step.  `position`
+    maps an edge to its place in the series' numbering, `rows[k]` holds
+    every edge's score at step k, and byte k of `masks[i]` is 1 where edge
+    i's score at step k is nonzero (so -0.0 counts as zero, as it does in
+    `loop_score_series`)."""
     ids = []
     for edge in zip(cycle, cycle[1:] + cycle[:1]):
-        i = index.position.get(edge)
+        i = position.get(edge)
         if i is None:
             raise AnalysisError(f"loop edge {edge[0]} -> {edge[1]} is not in the score series")
         ids.append(i)
-    active = reduce(and_, map(index.masks.__getitem__, ids)).to_bytes(index.n + 1, "little")
-    steps = list(compress(range(index.n + 1), active))
+    active = reduce(and_, map(masks.__getitem__, ids)).to_bytes(len(rows), "little")
+    steps = list(compress(range(len(rows)), active))
     # itemgetter of one index returns the item itself; of a slice, a 1-tuple
     get = itemgetter(*ids) if len(ids) > 1 else itemgetter(slice(ids[0], ids[0] + 1))
-    return active, steps, list(map(math.prod, map(get, map(index.rows.__getitem__, steps))))
+    return active, steps, list(map(math.prod, map(get, map(rows.__getitem__, steps))))
 
 
 def _shares(steps: list[int], scores: list, totals: list):
@@ -167,9 +155,12 @@ def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, l
     x + 0.0 == x for x >= 0."""
     if series.n == 0:
         raise AnalysisError("the score series has a single time: loops are scored over steps 1..n, and n is 0")
-    index = _ScoreIndex(series)
+    columns = [column for _, _, column in series.numbering[1]]
+    position = dict(zip(series.edges, range(len(columns))))
+    rows = list(zip(*columns))
+    masks = [int.from_bytes(bytes(map(bool, column)), "little") for column in columns]
     records = catalog.loops()
-    active = [_active_scores(rec.cycle, index) for rec in records]
+    active = [_active_scores(rec.cycle, position, rows, masks) for rec in records]
     totals = [0] * (series.n + 1)
     for _, steps, scores in active:
         for k, s in zip(steps, scores):

@@ -16,9 +16,11 @@ Two routes into the same registry format:
 
 `discover` wires them together per run: enumerate on the max-composite
 graph first, and only if that overflows the cap, sweep the per-step
-weighted graphs with the heuristic.  Each step's graph is built by
-`step_graph` straight from the score columns, through the node numbering
-that `LinkScoreSeries` computes once per run.
+weighted graphs with the heuristic.  `step_graph` builds each step's
+graph straight from the score columns, through the numbering that
+`LinkScoreSeries` computes once per run in `edges` order; the composite
+graph is the step graph of a one-step series, and ranking reads the
+same numbering.
 
 Everything here uses explicit stacks: no recursion, so 10,000-variable
 chains are fine.
@@ -487,11 +489,9 @@ def step_graph(series: LinkScoreSeries, k: int, stocks: Iterable[str], sort: boo
 
 def composite_graph(series: LinkScoreSeries, stocks: Iterable[str]) -> WeightedDigraph:
     """Static graph of the edges that are ever active, weighted by the
-    max composite scores."""
-    return WeightedDigraph.from_edges(
-        ((src, dst, w) for (src, dst), w in composite_scores(series, "max").items() if w != 0.0),
-        stocks=stocks,
-    )
+    max composite scores: the step graph of a one-step series of them."""
+    weights = {edge: [float(w)] for edge, w in composite_scores(series, "max").items()}
+    return step_graph(LinkScoreSeries(series.edges, (0.0,), weights), 0, stocks)
 
 
 def discover(

@@ -43,11 +43,18 @@ Edge = tuple[str, str]
 
 @dataclass
 class LinkScoreSeries:
-    """Signed score series, one per dependency edge, indexed 0..n."""
+    """Signed score series, one per dependency edge, indexed 0..n.  `series`
+    holds one column per edge, in `edges` order, with one score per time,
+    or construction raises ValueError; that order, read through
+    `numbering`, is the one every graph and ranking of the run uses."""
 
     edges: tuple[Edge, ...]
     times: tuple[float, ...]
     series: dict[Edge, list[float]]
+
+    def __post_init__(self) -> None:
+        if tuple(self.series) != tuple(self.edges) or any(len(c) != len(self.times) for c in self.series.values()):
+            raise ValueError("a score series needs one column per edge, in edges order, with one score per time")
 
     @property
     def n(self) -> int:
@@ -56,9 +63,9 @@ class LinkScoreSeries:
     @cached_property
     def numbering(self) -> tuple[tuple[str, ...], tuple[tuple[int, int, list[float]], ...]]:
         """The run's node ids: the edge endpoints in first-appearance order
-        over `edges`, and per edge `(src_id, dst_id, column)`, where each
-        column is the list object held in `series`.  Computed once; a
-        series is not changed after construction."""
+        over `edges`, and per edge, in `edges` order, `(src_id, dst_id,
+        column)`, where each column is the list object held in `series`.
+        Computed once; a series is not changed after construction."""
         ids: dict[str, int] = {}
         columns = tuple(
             (ids.setdefault(src, len(ids)), ids.setdefault(dst, len(ids)), self.series[(src, dst)])

@@ -18,7 +18,8 @@ or writes a definition out step by step; do not optimise or change them.
   `test_composite_weights_match_reference`).
 * `StringGraph`, `graph_from_edges`, `step_graph`, `strongest_path_pass`, `_reference_sweep`:
   the strongest-path search and sweep on string keys (`test_discovery.py`:
-  `test_strongest_path_pass_matches_the_string_keyed_reference`, `test_sweep_matches_*`).
+  `test_strongest_path_pass_matches_the_string_keyed_reference`, `test_sweep_matches_*`);
+  with `reference_composite_weight`, `discovery.composite_graph` (`test_sweep_matches_*`).
 * `cycle_score`, `_enumerate_with_cycle_score`: `enumerate_loops` and its scores
   (`test_discovery.py`: `test_cycle_score`, `test_enumerate_*`, `test_found_at_matches_active_step`).
 * `_reference_loop_scores`, `_left_sum`, `_reference_relative`, `_reference_ranking`:

@@ -224,9 +224,9 @@ class TestOneScorePass:
         calls = []
         original = analysis._active_scores
 
-        def counting(cycle, index):
+        def counting(cycle, *tables):
             calls.append(cycle)
-            return original(cycle, index)
+            return original(cycle, *tables)
 
         monkeypatch.setattr(analysis, "_active_scores", counting)
         return calls

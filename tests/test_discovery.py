@@ -724,6 +724,9 @@ def _check_sweep_against_reference(model, series: LinkScoreSeries) -> None:
     names, columns = series.numbering
     assert [(names[s], names[d]) for s, d, _ in columns] == list(series.edges)
     assert all(column is series.series[edge] for (_, _, column), edge in zip(columns, series.edges))
+    weights = ((s, d, reference.reference_composite_weight(series.series[(s, d)], "max")) for s, d in series.edges)
+    frozen = reference.graph_from_edges([(s, d, w) for s, d, w in weights if w != 0.0], stocks=stocks)
+    assert _graph_state(sl.composite_graph(series, stocks)) == _graph_state(frozen)
     for stride in (1, 3):
         ref_visits, ref_registry = _reference_sweep(series, stocks, stride)
         assert _records(sl.discover(model, series, method="strongest-path", stride=stride)) == _records(ref_registry)

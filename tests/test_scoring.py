@@ -256,6 +256,36 @@ class TestSeriesCsv:
         assert float(cells[3]) == 0.0
 
 
+_AB, _BA = ("a", "b"), ("b", "a")
+
+
+@pytest.mark.parametrize(
+    "edges, columns",
+    [
+        ((_AB, _BA), {_AB: [0, 1, 3], _BA: [0, 2]}),
+        ((_AB, _BA), {_AB: [0, 1, 3], _BA: [0, 2, 1, 4]}),
+        ((_AB, _BA), {_AB: [0, 1, 3]}),
+        ((_AB,), {_AB: [0, 1, 3], _BA: [0, 2, 1]}),
+        ((_AB, _BA), {_BA: [0, 2, 1], _AB: [0, 1, 3]}),
+        ((_AB, _BA, _AB), {_AB: [0, 1, 3], _BA: [0, 2, 1]}),
+    ],
+    ids=["short-column", "long-column", "missing-key", "extra-key", "keys-in-another-order", "edge-listed-twice"],
+)
+def test_series_columns_must_match_edges_and_times(edges, columns):
+    with pytest.raises(ValueError, match="one column per edge, in edges order, with one score per time"):
+        LinkScoreSeries(edges, (0.0, 1.0, 2.0), columns)
+
+
+def test_a_short_column_does_not_rank():
+    """Ranking would truncate the rows to the shortest column and score
+    loop a->b [0.0, 2.0, 0.0], step 2 silently inactive; the series is
+    refused instead."""
+    catalog = sl.LoopCatalog()
+    catalog.add(("a", "b"), 1.0, "static")
+    with pytest.raises(ValueError):
+        sl.rank_and_filter(catalog, LinkScoreSeries((_AB, _BA), (0.0, 1.0, 2.0), {_AB: [0, 1, 3], _BA: [0, 2]}))
+
+
 @pytest.mark.parametrize(
     "text, edge", [(CANCELLING_INFLOWS, ("a", "s")), (CANCELLING_INFLOWS, ("b", "s")), (STEEP_GATE, ("s", "z"))]
 )
