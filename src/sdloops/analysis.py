@@ -277,12 +277,25 @@ def compare_catalogs(
 
 
 def profiles_to_csv(profiles: list[LoopProfile], times: tuple[float, ...]) -> list[str]:
-    """CSV export: ``time,loop_id,score,relative``, as one piece per line."""
-    ids = [loop_id(p.cycle) for p in profiles]
+    """CSV export: ``time,loop_id,score,relative``, as one piece per line.
+    Each time is formatted once per step.  A step outside a profile's
+    active-step mask is written as ``0.0,0.0`` without formatting its
+    floats, as the JSON writer does; a profile without a mask, or with one
+    whose length is not its series', has every entry formatted."""
+    rows = []
+    for p in profiles:
+        name, scores, relative, mask = loop_id(p.cycle), p.score_series, p.relative_series, p.active
+        if mask is not None and not len(mask) == len(scores) == len(relative):
+            mask = None
+        rows.append((f"{name},", f"{name},0.0,0.0\n", scores, relative, mask))
     lines = ["time,loop_id,score,relative\n"]
     for k, t in enumerate(times):
-        for p, name in zip(profiles, ids):
-            lines.append(f"{format_number(t)},{name},{repr(p.score_series[k])},{repr(p.relative_series[k])}\n")
+        time = format_number(t) + ","
+        for name, inactive, scores, relative, mask in rows:
+            if mask is not None and not mask[k]:
+                lines.append(time + inactive)
+            else:
+                lines.append(f"{time}{name}{scores[k]!r},{relative[k]!r}\n")
     return lines
 
 

@@ -157,8 +157,9 @@ def _parse_edge_csv(text: str) -> list[tuple[str, str, float]]:
 
 def _load_catalog(path: str) -> LoopCatalog:
     """Read a catalog JSON file; content that is not a loop catalog is a
-    diagnostic naming the file.  The text is passed on, not kept, so
-    from_json can drop it once parsed."""
+    diagnostic naming the file.  from_json makes each loop a record as the
+    text is parsed, so a catalog is held as its text and its records, not
+    also as parsed dicts and lists."""
     try:
         return LoopCatalog.from_json(_read_text(path))
     except MalformedCycleError as err:

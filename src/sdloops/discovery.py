@@ -211,13 +211,37 @@ class LoopCatalog:
 
     @classmethod
     def from_json(cls, text: str) -> "LoopCatalog":
-        """from_json_dict of the parsed text.  Equal node names and equal
-        found_at strings become one str object while the text is parsed,
-        and the text is dropped before the records are built."""
+        """from_json_dict of the parsed text, with equal node names and
+        equal found_at strings as one str object.  Each loop entry becomes
+        its record while the text is parsed, so no loop is held as a dict
+        and a record at once.  A document that this reading does not take
+        whole (not a catalog, or one with a loop that is malformed or listed
+        twice) is parsed again and read by from_json_dict, which says what
+        is wrong."""
         with _gc_paused():
-            data = json.loads(text, object_hook=_string_sharing_hook())
-            del text
-            return cls.from_json_dict(data)
+            catalog = cls._from_records(text)
+            if catalog is None:
+                catalog = cls.from_json_dict(json.loads(text, object_hook=_string_sharing_hook()))
+            return catalog
+
+    @classmethod
+    def _from_records(cls, text: str) -> "LoopCatalog | None":
+        """The catalog of text parsed with _record_hook, or None unless the
+        document is an object with from_json_dict's head fields whose loops
+        all became records, none of them twice."""
+        try:
+            data = json.loads(text, object_hook=_record_hook())
+        except (ValueError, RecursionError):  # not JSON: from_json_dict's path says so
+            return None
+        if type(data) is not dict:
+            return None
+        loops, provenance, overflow = data.get("loops", []), data.get("provenance", "unknown"), data.get("overflow", False)
+        if type(loops) is not list or type(provenance) is not str or type(overflow) is not bool:
+            return None
+        records = {rec.cycle: rec for rec in loops if type(rec) is LoopRecord}
+        if len(records) != len(loops):
+            return None
+        return cls(provenance, overflow, records)
 
 
 def _loop_json(rec: LoopRecord) -> dict:
@@ -241,6 +265,40 @@ def _string_sharing_hook():
         if type(found_at) is str:
             obj["found_at"] = share(found_at, found_at)
         return obj
+
+    return hook
+
+
+def _record_hook():
+    """A json.loads object hook for one document: an object that from_json_dict
+    reads as a loop as it stands (a cycle of distinct strings, a float score
+    that is finite, and a found_at that is a step or a string) becomes its
+    LoopRecord, with node names and found_at strings shared as by
+    _string_sharing_hook.  Keys besides those three are passed over, as
+    from_json_dict passes them over; any other object is returned as it is."""
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+    isfinite = math.isfinite
+
+    def hook(obj: dict):
+        cycle, score, found_at = obj.get("cycle"), obj.get("discovery_score"), obj.get("found_at")
+        if type(cycle) is not list or type(score) is not float or not isfinite(score):
+            return obj
+        kind = type(found_at)
+        if kind is not str and not (kind is int and found_at >= 0):
+            return obj
+        try:
+            first = min(cycle)
+        except (TypeError, ValueError):  # nodes that do not compare, or none
+            return obj
+        if type(first) is not str:  # of JSON values, only a string compares with a string
+            return obj
+        pivot = cycle.index(first)
+        rotated = cycle[pivot:] + cycle[:pivot]
+        nodes = tuple(map(share, rotated, rotated))
+        if len(set(nodes)) != len(nodes):
+            return obj
+        return LoopRecord(nodes, score, share(found_at, found_at) if kind is str else found_at)
 
     return hook
 

@@ -182,8 +182,10 @@ def composite_scores(series: LinkScoreSeries, mode: str) -> dict[Edge, float]:
 
 def series_to_csv(series: LinkScoreSeries) -> list[str]:
     """CSV export: ``time,src,dst,score``, one row (and piece) per edge per step."""
+    rows = [(f",{src},{dst},", series.series[(src, dst)]) for src, dst in series.edges]
     lines = ["time,src,dst,score\n"]
     for k, t in enumerate(series.times):
-        for src, dst in series.edges:
-            lines.append(f"{format_number(t)},{src},{dst},{repr(series.series[(src, dst)][k])}\n")
+        time = format_number(t)
+        for edge, column in rows:
+            lines.append(f"{time}{edge}{column[k]!r}\n")
     return lines

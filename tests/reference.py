@@ -33,6 +33,8 @@ or writes a definition out step by step; do not optimise or change them.
 * `_reference`: the `json.dumps` text that `_jsonutil` must write (`test_jsonutil.py`).
 * `catalog_to_json_dict`: the catalog JSON writer (`test_discovery.py`: `TestCatalogJson`;
   `test_cli.py`: `test_written_catalog_is_json_dumps_text`).
+* `reference_read_catalog`: `LoopCatalog.from_json`, which builds each loop's record
+  while the text is parsed (`test_discovery.py`: `test_from_json_reads_as_the_reference_reader`).
 * `print_model`, `format_expr`: the printer, which round-trips (`test_dsl.py`;
   `test_engine.py`: `test_renaming_changes_nothing_but_names`).
 """
@@ -793,6 +795,33 @@ def catalog_to_json_dict(catalog: LoopCatalog) -> dict:
             for rec in catalog.loops()
         ],
     }
+
+
+def _string_sharing_hook():
+    """A json.loads object hook for one document: a str in a "cycle" list
+    or as "found_at" is replaced by the first equal str of the document.
+    Every other value passes through as it is, because a table keyed by
+    equality would turn a JSON true into the 1 before it."""
+    shared: dict[str, str] = {}
+    share = shared.setdefault
+
+    def hook(obj: dict) -> dict:
+        cycle = obj.get("cycle")
+        if type(cycle) is list:
+            obj["cycle"] = [share(v, v) if type(v) is str else v for v in cycle]
+        found_at = obj.get("found_at")
+        if type(found_at) is str:
+            obj["found_at"] = share(found_at, found_at)
+        return obj
+
+    return hook
+
+
+def reference_read_catalog(text: str) -> LoopCatalog:
+    """The catalog reader that parsed the whole document into dicts and
+    lists, sharing equal node names and found_at strings, and only then
+    built the records."""
+    return LoopCatalog.from_json_dict(json.loads(text, object_hook=_string_sharing_hook()))
 
 
 def _reference(obj):

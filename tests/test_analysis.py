@@ -489,6 +489,25 @@ class TestOutputs:
         assert len(pieces) == 1 + len(arms_run.times) * len(arms_series.edges)
         assert "".join(pieces) == reference.series_to_csv(arms_series)
 
+    @pytest.mark.parametrize(
+        "active, expected",
+        [
+            # an active step whose product underflowed to -0.0 keeps its sign
+            (b"\x00\x01\x01", ["0,a->b,0.0,0.0", "1,a->b,-0.0,0.0", "2.5,a->b,0.5,1.0"]),
+            # without a mask every entry is formatted, the -0.0 of step 0 too
+            (None, ["0,a->b,-0.0,0.0", "1,a->b,-0.0,0.0", "2.5,a->b,0.5,1.0"]),
+            # a mask whose length is not the series' is not read
+            (b"\x00\x00", ["0,a->b,-0.0,0.0", "1,a->b,-0.0,0.0", "2.5,a->b,0.5,1.0"]),
+        ],
+    )
+    def test_profiles_csv_reads_the_active_mask(self, active, expected):
+        score = [-0.0 if active is None or len(active) != 3 else 0.0, -0.0, 0.5]
+        record = sl.LoopRecord(("a", "b"), 1.0, "static")
+        profiles = [analysis.LoopProfile(record, score, [0.0, 0.0, 1.0], 0.5, "reinforcing", None, active)]
+        text = "".join(profiles_to_csv(profiles, (0.0, 1.0, 2.5)))
+        assert text == reference.profiles_to_csv(profiles, (0.0, 1.0, 2.5))
+        assert text.splitlines()[1:] == expected
+
     def test_ranking_json(self, two_stock_catalog, two_stock_series):
         profiles = sl.rank_and_filter(two_stock_catalog, two_stock_series, threshold=0.001)
         data = ranking_to_json_dict(profiles, two_stock_catalog, {"threshold": 0.001})

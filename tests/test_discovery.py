@@ -643,6 +643,128 @@ class TestGcPaused:
 
 
 # --------------------------------------------------------------------------
+# The catalog reader against its frozen reference
+
+_LOOP = {"cycle": ["b", "a"], "discovery_score": 0.5, "found_at": 1}  # an entry from_json_dict reads
+_odd_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([2**53 + 1, 10**400, -0.0, 1.5]),
+    st.floats(), st.sampled_from(["a", "static", ""]), st.just(_LOOP), st.lists(st.sampled_from(["a", 1, None]), max_size=2),
+)
+
+
+def _usually(draw, faults: bool, usual, odd):
+    """A value drawn from `usual`, or, where the document has faults, now
+    and then from `odd`."""
+    return draw(odd if faults and draw(st.integers(0, 9)) == 9 else usual)
+
+
+@st.composite
+def _catalog_texts(draw):
+    """Catalog texts: cycles in any rotation over a few names, found_at a
+    step or a string, finite float scores.  In a document with faults, now
+    and then a field is missing, of another type or loop-shaped, a loop
+    repeats in another rotation, an extra key holds any value, or the
+    document is not an object."""
+    names = ["a", "b", "c", "\u00e9", "a b"]
+    faults = draw(st.booleans())
+    now_and_then = st.integers(0, 9).map(lambda n: faults and n == 9)
+    loops, cycles = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        if cycles and draw(now_and_then):
+            earlier = draw(st.sampled_from(cycles))
+            at = draw(st.integers(0, len(earlier) - 1))
+            cycle = earlier[at:] + earlier[:at]
+        else:
+            nodes = st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)
+            odd = st.lists(st.sampled_from(names), min_size=2, max_size=4) | st.lists(st.sampled_from(names) | _odd_values, max_size=3)
+            cycle = _usually(draw, faults, nodes, odd | _odd_values)
+        if type(cycle) is list and cycle:
+            cycles.append(cycle)
+        entry = {
+            "cycle": cycle,
+            "discovery_score": _usually(draw, faults, st.floats(allow_nan=False, allow_infinity=False), _odd_values),
+            "found_at": _usually(draw, faults, st.integers(0, 5) | st.sampled_from(["static", "a"]), _odd_values),
+        }
+        if draw(now_and_then):
+            del entry[draw(st.sampled_from(list(entry)))]
+        if draw(now_and_then):
+            entry["extra"] = draw(_odd_values)
+        loops.append(_usually(draw, faults, st.just(entry), _odd_values))
+    doc = {
+        "provenance": _usually(draw, faults, st.sampled_from(["exhaustive", "strongest-path"]), _odd_values),
+        "overflow": _usually(draw, faults, st.booleans(), _odd_values),
+        "loops": _usually(draw, faults, st.just(loops), _odd_values),
+    }
+    if draw(now_and_then):
+        del doc[draw(st.sampled_from(list(doc)))]
+    if draw(now_and_then):
+        doc["extra"] = draw(_odd_values)
+    doc = _usually(draw, faults, st.just(doc), _odd_values)
+    return json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
+
+
+def _loops_text(*entries: str) -> str:
+    return '{"provenance": "exhaustive", "overflow": false, "loops": [' + ", ".join(entries) + "]}"
+
+
+def _read_by(read, text: str):
+    """What read(text) gives: its exception's type and message, or the
+    catalog's head, its records, and for each of the records' strings (node
+    names, then a found_at string, record by record) the position of the
+    first one that is the same object."""
+    try:
+        catalog = read(text)
+    except Exception as err:
+        return type(err), str(err)
+    records = catalog.loops()
+    strings = [s for r in records for s in r.cycle + ((r.found_at,) if type(r.found_at) is str else ())]
+    first: dict[int, int] = {}
+    return (
+        catalog.provenance,
+        catalog.overflow,
+        [(r.cycle, repr(r.discovery_score), type(r.found_at), r.found_at) for r in records],
+        [first.setdefault(id(s), i) for i, s in enumerate(strings)],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_catalog_texts())
+@example(json.dumps(_LOOP))  # the whole document
+@example(json.dumps({**_LOOP, "loops": [_LOOP]}))
+@example(_loops_text(f'{{"cycle": [{json.dumps(_LOOP)}], "discovery_score": 1.0, "found_at": 0}}'))  # as a node
+@example(_loops_text(f'{{"cycle": ["a", {json.dumps(_LOOP)}], "discovery_score": 1.0, "found_at": 0}}'))
+@example(_loops_text(f'{{"cycle": ["a"], "discovery_score": 1.0, "found_at": {json.dumps(_LOOP)}}}'))  # as found_at
+@example(json.dumps({"provenance": _LOOP, "loops": [_LOOP]}))  # as provenance
+@example(json.dumps({"loops": [{**_LOOP, "extra": _LOOP}], "extra": _LOOP}))  # under extra keys
+@example(_loops_text('{"cycle": ["c", "a", "b"], "discovery_score": 0.5, "found_at": "static"}'))  # rotated
+@example(_loops_text('{"cycle": ["b", "a"], "discovery_score": 2, "found_at": 0}'))  # an int score
+@example(_loops_text('{"cycle": ["b", "a"], "discovery_score": true, "found_at": 0}'))
+@example(_loops_text(f'{{"cycle": ["b", "a"], "discovery_score": {10**400}, "found_at": 0}}'))
+@example(_loops_text('{"cycle": ["b", "a"], "discovery_score": 1e999, "found_at": 0}'))
+@example(_loops_text(*(f'{{"cycle": {c}, "discovery_score": 1.0, "found_at": 0}}' for c in ('["b", "c", "a"]', '["c", "a", "b"]'))))
+@example(_loops_text('{"cycle": ["a"], "discovery_score": 1.0, "found_at": 1}', '{"cycle": ["b"], "discovery_score": 1.0, "found_at": true}'))
+@example(_loops_text('{"cycle": ["a", "b", "a"], "discovery_score": 1.0, "found_at": 0}'))  # a repeated node
+@example(_loops_text('{"cycle": ["a"], "discovery_score": 1.0, "found_at": -1}'))
+@example('{"provenance": "exhaustive", "overflow": 0, "loops": []}')
+@example('{"loops": [{"cycle": ["a"], "discovery_score": 1.0, "found_at": 0}')  # not JSON
+def test_from_json_reads_as_the_reference_reader(text):
+    assert _read_by(LoopCatalog.from_json, text) == _read_by(reference.reference_read_catalog, text)
+
+
+def test_a_written_catalog_is_read_in_one_parse(greedy_miss_graph, monkeypatch):
+    """A catalog that the program writes takes no second parse: its loops
+    become records as the text is parsed, and from_json_dict is not called."""
+    catalog = enumerate_loops(greedy_miss_graph)
+    catalog.add(("x", "y"), -0.25, 3)
+    text = catalog.to_json()
+    monkeypatch.setattr(LoopCatalog, "from_json_dict", classmethod(lambda cls, data: pytest.fail("parsed twice")))
+    back = LoopCatalog.from_json(text)
+    assert [(r.cycle, repr(r.discovery_score), r.found_at) for r in back.loops()] == [
+        (r.cycle, repr(r.discovery_score), r.found_at) for r in catalog.loops()
+    ]
+
+
+# --------------------------------------------------------------------------
 # The strongest-path search against its frozen string-keyed reference
 
 # equal magnitudes of both signs, zeros of both signs, and magnitudes whose

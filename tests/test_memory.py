@@ -5,9 +5,11 @@ above what was allocated before it, is bounded by a multiple of the size
 of the catalog file.  On a 5,000-loop catalog (about 1.2 MB) the
 measured peaks were, on Python 3.10 to 3.13:
 
-* `LoopCatalog.from_json`: 1.76-1.96 times the file, against 3.47-4.21
-  when the whole document was kept in one string and node names were not
-  shared;
+* `LoopCatalog.from_json`: 0.96 times the file, with each loop made a
+  record as the text is parsed, against 1.76-1.96 when the whole document
+  was parsed into dicts and lists before the records were built (and
+  3.47-4.21 before that, when the document was kept in one string and
+  node names were not shared);
 * `graph-loops --out` (the listing and the write): 2.35-2.70 times the
   file, against 4.67-5.23 when the catalog was written through a list of
   loop dicts and one string of the whole text.
@@ -25,7 +27,7 @@ import pytest
 from sdloops.cli import main
 from sdloops.discovery import LoopCatalog
 
-FROM_JSON_BOUND = 2.75
+FROM_JSON_BOUND = 1.25
 GRAPH_LOOPS_BOUND = 3.5
 NODES = 8
 CAP = 5000
