@@ -156,10 +156,10 @@ def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, l
     if series.n == 0:
         raise AnalysisError("the score series has a single time: loops are scored over steps 1..n, and n is 0")
     columns = [column for _, _, column in series.numbering[1]]
-    position = dict(zip(series.edges, range(len(columns))))
     rows = list(zip(*columns))
     masks = [int.from_bytes(bytes(map(bool, column)), "little") for column in columns]
     records = catalog.loops()
+    position = series.position
     active = [_active_scores(rec.cycle, position, rows, masks) for rec in records]
     totals = [0] * (series.n + 1)
     for _, steps, scores in active:

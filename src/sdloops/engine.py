@@ -92,9 +92,6 @@ class RunResult:
     def dt(self) -> float:
         return self.spec.dt
 
-    def branches_at(self, name: str, k: int) -> list[bool | None]:
-        return [slots[k] for slots in self.branch_trace[name]]
-
 
 def evaluation_order(model: Model) -> list[str]:
     """Topological order of Aux/Flow variables under instantaneous
@@ -160,19 +157,22 @@ def _unrecorded():
     raise ValueError("no recorded branch for IF node")
 
 
-def compile_expr(expr, gated: bool = False):
-    """Compile an expression tree into a function f(values, t, dt, branches).
+def compile_expr(expr, column: bool = False):
+    """Compile an expression tree, numbering IF nodes by pre-order slot as iter_if_nodes does.
 
-    IF nodes are numbered by pre-order slot, as iter_if_nodes numbers them.
-    In record form each evaluated IF writes its branch (True for then)
-    into branches[slot]; any mutable sequence or mapping will do.  In
-    gated form each IF takes branches[slot] and never evaluates its
-    condition; a branch of None raises ValueError.  Model text reaches the
-    generated source only as repr'd names; number literals go through a
-    constants tuple, operators and functions through fixed tables.
+    Record form, f(values, t, dt, branches): each evaluated IF writes its
+    branch (True for then) into branches[slot], a mutable sequence or
+    mapping.  Column form, f(T, dt, J, *columns, *branches), one column
+    per name of expr_refs(expr) in that order, then one per IF slot: it
+    returns [EXPR for j in J], where a name reads its column at j, TIME
+    reads T[j] and each IF takes its slot's branch at j, never evaluating
+    its condition; a branch of None raises ValueError.  Model text
+    reaches the generated source only as repr'd names; number literals go
+    through a constants tuple, operators and functions through fixed tables.
     """
     consts: list[float] = []
     ifs: list[If] = []  # in pre-order: the position is the slot
+    refs: dict[str, str] = {}  # column form: name -> parameter, by first occurrence, as expr_refs orders them
 
     def emit(node, level: int) -> str:
         """Python source for `node`, parenthesized unless it binds at
@@ -181,9 +181,9 @@ def compile_expr(expr, gated: bool = False):
             consts.append(node.value)
             code, prec = f"c[{len(consts) - 1}]", 4
         elif isinstance(node, Ref):
-            code, prec = f"v[{node.name!r}]", 4
+            code, prec = (f"{refs.setdefault(node.name, f'r{len(refs)}')}[j]" if column else f"v[{node.name!r}]"), 4
         elif isinstance(node, Builtin):
-            code, prec = _BUILTINS[node.name], 4
+            code, prec = ("T[j]" if column and node.name == "TIME" else _BUILTINS[node.name]), 4
         elif isinstance(node, Unary) and node.op in _UNARY_OPS:
             template, prec = _UNARY_OPS[node.op]
             code = template.format(emit(node.operand, max(prec, 1)))
@@ -193,10 +193,10 @@ def compile_expr(expr, gated: bool = False):
         elif isinstance(node, If):
             slot = len(ifs)
             ifs.append(node)
-            cond = emit(node.cond, 1)  # numbers the IFs inside the condition, gated or not
+            cond = emit(node.cond, 1)  # numbers the IFs inside the condition in either form
             then, orelse = emit(node.then, 1), emit(node.orelse, 0)
-            if gated:
-                code = f"{then} if b[{slot}] else _unrecorded() if b[{slot}] is None else {orelse}"
+            if column:
+                code = f"{then} if b{slot}[j] else _unrecorded() if b{slot}[j] is None else {orelse}"
             else:
                 code = f"{then} if _take(b, {slot}, {cond} != 0.0) else {orelse}"
             prec = 0
@@ -208,17 +208,19 @@ def compile_expr(expr, gated: bool = False):
             raise TypeError(f"not an expression node: {node!r}")
         return code if prec >= level else f"({code})"
 
-    source = compile(f"lambda v, t, dt, b: {emit(expr, 0)}", "<sdloops equation>", "eval")
-    return eval(source, {"c": tuple(consts), "_take": _take, "_unrecorded": _unrecorded})
+    body = emit(expr, 0)
+    params = ", ".join(["T, dt, J", *refs.values(), *(f"b{slot}" for slot in range(len(ifs)))])
+    source = f"lambda {params}: [{body} for j in J]" if column else f"lambda v, t, dt, b: {body}"
+    return eval(compile(source, "<sdloops equation>", "eval"), {"c": tuple(consts), "_take": _take, "_unrecorded": _unrecorded})
 
 
-def compile_equation(var: Variable, gated: bool = False):
+def compile_equation(var: Variable, column: bool = False):
     """compile_expr on a variable's expression.  One nested too deeply
     for Python's compiler (its tokenizer allows 200 nested brackets, so
     about 100 AND/OR terms in a chain) or for the recursion limit raises
     ModelError naming the variable."""
     try:
-        return compile_expr(var.expr, gated)
+        return compile_expr(var.expr, column)
     except (SyntaxError, RecursionError):
         raise ModelError([Diagnostic(f"equation of {var.name} is nested too deeply to compile", var.loc)]) from None
 

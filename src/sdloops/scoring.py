@@ -19,6 +19,10 @@ stock's change over [t_{k-1}, t_k], signed by the attachment:
 Scores at t_0 are 0 by convention: nothing has changed yet.  A score
 that is not finite (the quotient overflowed) is 0 as well, so scoring is
 total and always finite.
+
+Each aux/flow equation is compiled once per run in column form and called
+once per source over all steps; a call that raises is made again step by
+step, so only the steps that raise score 0.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
-from .dsl import Model, dependency_graph, format_number
+from .dsl import Model, dependency_graph, expr_refs, format_number
 from .engine import RunResult, compile_equation, left_sum
 
 __all__ = [
@@ -73,82 +79,74 @@ class LinkScoreSeries:
         )
         return tuple(ids), columns
 
+    @cached_property
+    def position(self) -> dict[Edge, int]:
+        """Each edge's place in `edges`, and so in `numbering`."""
+        return {edge: i for i, edge in enumerate(self.edges)}
+
 
 def _sign(x: float) -> float:
     return 1.0 if x > 0 else (-1.0 if x < 0 else 0.0)
 
 
-class _Prep:
-    """Per-model scoring scaffolding shared across steps."""
+def _extend_scores(model: Model, run: RunResult, first: int, last: int, columns: dict[Edge, list[float]]) -> None:
+    """Append each edge's scores at steps first..last to its column; the
+    keys of `columns` are the edges in graph order.  A column-form call
+    reads every name at t_{k-1} but the source, which it reads at t_k."""
+    dt, steps, times = run.dt, range(last - first + 1), run.times[first - 1:last]
+    old = {name: column[first - 1:last] for name, column in run.values.items()}
+    new = {name: column[first:last + 1] for name, column in run.values.items()}
+    diff = {name: [b - a for a, b in zip(old[name], new[name])] for name in old}
+    isfinite = math.isfinite
+    for dst, edges in groupby(columns, itemgetter(1)):  # the graph lists each destination's edges together
+        var, zs, dzs = model.variable(dst), old[dst], diff[dst]
+        if var.kind == "stock":  # its sources are the flows attached to it
+            for flow, _ in edges:
+                sign = 1.0 if flow in var.inflows else -1.0
+                columns[(flow, dst)] += [
+                    0.0 if dz == 0.0 else s if isfinite(s := abs(sign * q * dt / dz) * sign) else 0.0
+                    for q, dz in zip(old[flow], dzs)
+                ]
+            continue
+        f = compile_equation(var, column=True)
+        where = {name: i for i, name in enumerate(expr_refs(var.expr))}
+        args = [old[name] for name in where] + [slots[first - 1:last] for slots in run.branch_trace[dst]]
+        for src, _ in edges:
+            dxs, i = diff[src], where[src]
+            if not (any(dzs) and any(dxs)):  # z or x never moves: every score is 0
+                columns[(src, dst)] += [0.0] * len(steps)
+                continue
+            args[i] = new[src]
+            try:
+                mixed = f(times, dt, steps, *args)
+            except (ZeroDivisionError, ValueError):  # again step by step; a step that raises scores 0
+                mixed = []
+                for j in steps:
+                    try:
+                        mixed += f(times, dt, range(j, j + 1), *args)
+                    except (ZeroDivisionError, ValueError):
+                        mixed.append(math.nan)
+            args[i] = old[src]
+            columns[(src, dst)] += [
+                0.0 if dz == 0.0 or dx == 0.0 else s if isfinite(s := abs((d := m - z) / dz) * _sign(d * dx)) else 0.0
+                for z, m, dz, dx in zip(zs, mixed, dzs, dxs)
+            ]
 
-    def __init__(self, model: Model):
-        self.graph = dependency_graph(model)
-        # dependency_graph lists each destination's edges together, so this
-        # map walks the edges in graph order
-        self.sources: dict[str, list[str]] = {}
-        for src, dst in self.graph.edges:
-            self.sources.setdefault(dst, []).append(src)
-        self.gated = {v.name: compile_equation(v, gated=True) for v in model.by_kind("aux", "flow")}
-        self.inflows = {v.name: set(v.inflows) for v in model.by_kind("stock")}
 
-
-def link_score_step(model: Model, run: RunResult, k: int, _prep: _Prep | None = None) -> dict[Edge, float]:
+def link_score_step(model: Model, run: RunResult, k: int) -> dict[Edge, float]:
     """Scores for every dependency edge at step k (1 <= k <= n)."""
     if not 1 <= k <= run.n:
         raise ValueError(f"step {k} outside 1..{run.n}")
-    prep = _prep if _prep is not None else _Prep(model)
-    dt = run.dt
-    t_old = run.times[k - 1]
-    values = run.values
-    env_old = {name: values[name][k - 1] for name in run.variables}
-
-    scores: dict[Edge, float] = {}
-    for dst, srcs in prep.sources.items():
-        z = values[dst]
-        dz = z[k] - z[k - 1]
-        if dz == 0.0:
-            for src in srcs:
-                scores[(src, dst)] = 0.0
-            continue
-        gated = prep.gated.get(dst)
-        if gated is None:  # a stock: its sources are the flows attached to it
-            inflows = prep.inflows[dst]
-            for flow in srcs:
-                sign = 1.0 if flow in inflows else -1.0
-                score = abs(sign * values[flow][k - 1] * dt / dz) * sign
-                scores[(flow, dst)] = score if math.isfinite(score) else 0.0
-            continue
-        branches = run.branches_at(dst, k - 1)
-        for src in srcs:
-            x = values[src]
-            dx = x[k] - x[k - 1]
-            if dx == 0.0:
-                scores[(src, dst)] = 0.0
-                continue
-            env_old[src] = x[k]
-            try:
-                dxz = gated(env_old, t_old, dt, branches) - z[k - 1]
-            except (ZeroDivisionError, ValueError):
-                # the gated equation cannot be evaluated at the mixed point;
-                # no attributable contribution
-                dxz = math.nan
-            finally:
-                env_old[src] = x[k - 1]
-            score = abs(dxz / dz) * _sign(dxz * dx)
-            scores[(src, dst)] = score if math.isfinite(score) else 0.0
-    return scores
+    columns: dict[Edge, list[float]] = {edge: [] for edge in dependency_graph(model).edges}
+    _extend_scores(model, run, k, k, columns)
+    return {edge: column[0] for edge, column in columns.items()}
 
 
 def score_all(model: Model, run: RunResult) -> LinkScoreSeries:
-    """Apply link_score_step for k = 1..n; t_0 scores are 0."""
-    prep = _Prep(model)
-    edges = tuple(prep.graph.edges)
-    series: dict[Edge, list[float]] = {edge: [0.0] * (run.n + 1) for edge in edges}
-    for k in range(1, run.n + 1):
-        step = link_score_step(model, run, k, prep)
-        for edge, s in step.items():
-            series[edge][k] = s
-    return LinkScoreSeries(edges, run.times, series)
+    """Every edge's scores at steps 1..n, in one column pass; t_0 scores are 0."""
+    series: dict[Edge, list[float]] = {edge: [0.0] for edge in dependency_graph(model).edges}
+    _extend_scores(model, run, 1, run.n, series)
+    return LinkScoreSeries(tuple(series), run.times, series)
 
 
 def composite_scores(series: LinkScoreSeries, mode: str) -> dict[Edge, float]:

@@ -6,14 +6,17 @@ or writes a definition out step by step; do not optimise or change them.
 * `reference_tokenize_line`, `ReferenceLineParser`, `reference_parse_statement`:
   the lexer and parser (`test_dsl.py`: `test_front_end_matches_reference`,
   `test_nesting_limit_matches_reference`).
-* `eval_expr`: `engine.compile_expr`, recording and gated (`test_engine.py`:
-  `test_record_form_matches_reference`, `test_gated_form_matches_override`).
+* `eval_expr`: `engine.compile_expr`, record and column forms (`test_engine.py`:
+  `test_record_form_matches_reference`, `test_gated_form_matches_override`); with
+  `override`, the branch-gated equation of `reference_link_score_step`.
 * `simulate`: `engine.simulate` (`test_engine.py`: `test_simulate_and_score_all_match_reference`,
   `test_simulation_errors_match_reference`).
 * `linear_coefficients`: the exact gains of a linear equation (`test_scoring.py`:
   `test_closed_form_oracle_for_equation_edges`; `test_acceptance.py`: criterion 2).
 * `reference_link_score_step`: `scoring.score_all` (`test_engine.py`:
-  `test_simulate_and_score_all_match_reference`).
+  `test_simulate_and_score_all_match_reference`; `test_scoring.py`:
+  `test_one_column_compile_per_destination_per_score_all`,
+  `test_one_mixed_point_division_by_zero_scores_zero_at_that_step_alone`).
 * `reference_composite_weight`: `scoring.composite_scores` (`test_scoring.py`:
   `test_composite_weights_match_reference`).
 * `StringGraph`, `graph_from_edges`, `step_graph`, `strongest_path_pass`, `_reference_sweep`:
@@ -438,7 +441,8 @@ def linear_coefficients(model, name):
 
 def reference_link_score_step(model, run, k):
     """Scores at step k: one loop over (src, dst) edges into aux/flow
-    equations, recomputing dz per edge, then one loop over flow edges."""
+    equations, recomputing dz per edge and interpreting the branch-gated
+    equation with `eval_expr`, then one loop over flow edges."""
     byname = {v.name: v for v in model.variables}
     eq_edges, flow_edges = [], []
     for src, dst in sl.dependency_graph(model).edges:
@@ -446,7 +450,7 @@ def reference_link_score_step(model, run, k):
             flow_edges.append((src, dst, 1.0 if src in byname[dst].inflows else -1.0))
         else:
             eq_edges.append((src, dst))
-    gated = {v.name: compile_equation(v, gated=True) for v in model.by_kind("aux", "flow")}
+    slots = {v.name: {id(n): i for i, n in enumerate(iter_if_nodes(v.expr))} for v in model.by_kind("aux", "flow")}
     dt = run.dt
     t_old = run.times[k - 1]
     values = run.values
@@ -464,7 +468,8 @@ def reference_link_score_step(model, run, k):
         saved = env_old[src]
         env_old[src] = values[src][k]
         try:
-            mixed = gated[dst](env_old, t_old, dt, run.branches_at(dst, k - 1))
+            branches = [trace[k - 1] for trace in run.branch_trace[dst]]
+            mixed = eval_expr(byname[dst].expr, env_old, t_old, dt, slots[dst], override=branches)
         except (ZeroDivisionError, ValueError):
             scores[(src, dst)] = 0.0
             continue

@@ -103,6 +103,29 @@ STOCK s0 = 1 { inflow: up }
 STOCK s1 = 0 { inflow: up }
 STOCK s2 = 0 { inflow: g }
 """
+# a(t) = t and b(t) = 2t + 1, so a - b is never 0, but a's step from 0 to 1
+# meets b's old value 1: only the mixed point of a -> f at step 1 divides by zero
+DIVIDES_AT_ONE_MIXED_POINT = """\
+SPEC START = 0 STOP = 4 DT = 1
+STOCK a = 0 { inflow: g }
+STOCK b = 1 { inflow: h }
+FLOW g = 1
+FLOW h = 2
+FLOW f = 1 / (a - b)
+STOCK c = 0 { inflow: f }
+"""
+# a(t) = t and b(t) = 3t - 3 never meet, but the mixed point of a -> r
+# divides by zero at step 3 and that of b -> r at step 1, inside a taken IF
+DIVIDES_INSIDE_IF_AT_ONE_STEP = """\
+SPEC START = 0 STOP = 5 DT = 1
+STOCK a = 0 { inflow: g }
+STOCK b = -3 { inflow: h }
+FLOW g = 1
+FLOW h = 3
+AUX r = IF a < 10 THEN 1 / (a - b) ELSE b
+FLOW f = r
+STOCK c = 0 { inflow: f }
+"""
 TRANSFER = """\
 SPEC START = 0 STOP = 4 DT = 1
 CONST c0 = 2

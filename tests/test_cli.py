@@ -700,6 +700,37 @@ class TestDeepNesting:
         path.write_text(_one_flow_model(" + ".join(["0.001 * s"] * 500)), encoding="utf-8")
         assert main(["analyze", str(path), "--out", str(tmp_path / "out.json")]) == 0
 
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda k: " + ".join(["s"] * k),
+            lambda k: " AND ".join(f"s > {i}" for i in range(k)),
+            lambda k: "IF s > 0 THEN " * k + "s" + " ELSE 0" * k,
+        ],
+        ids=["sum chain", "AND chain", "IF nest"],
+    )
+    def test_deepest_simulated_equation_analyzes_or_is_a_diagnostic(self, nest, tmp_path, capsys):
+        """Scoring compiles each equation a second time, in column form, one
+        comprehension deeper.  At the deepest nesting that `simulate`
+        compiles (found by bisection: the limit differs between Python
+        versions), `analyze` succeeds or names the equation (exit 2)."""
+        path = tmp_path / "deep.sdm"
+
+        def run(command, k):
+            path.write_text(_one_flow_model(nest(k)), encoding="utf-8")
+            code = main([command, str(path)])
+            return code, capsys.readouterr().err
+
+        ok, deep = 1, 2
+        while run("simulate", deep)[0] == 0:
+            ok, deep = deep, deep * 2
+        while deep - ok > 1:  # simulate runs `ok` levels and refuses `deep`
+            mid = (ok + deep) // 2
+            ok, deep = (mid, deep) if run("simulate", mid)[0] == 0 else (ok, mid)
+        assert run("simulate", deep) == (2, "error: equation of f is nested too deeply to compile (line 3, col 6)\n")
+        code, err = run("analyze", ok)
+        assert (code, err) in ((0, ""), (2, "error: equation of f is nested too deeply to compile (line 3, col 6)\n"))
+
 
 class TestOneFaultOneDiagnostic:
     """A declaration line that fails after its keyword and name still

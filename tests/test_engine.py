@@ -8,9 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 import reference
 import sdloops as sl
 from reference import print_model
-from sdloops.dsl import Bin, Builtin, Call, If, Num, Ref, Unary, iter_if_nodes
+from sdloops.dsl import Bin, Builtin, Call, If, Num, Ref, Unary, expr_refs, iter_if_nodes
 from sdloops.engine import compile_expr, run_to_csv
-from strategies import DIVIDES_BY_ZERO, models, synthetic_models
+from strategies import DIVIDES_AT_ONE_MIXED_POINT, DIVIDES_BY_ZERO, DIVIDES_INSIDE_IF_AT_ONE_STEP
+from strategies import models, synthetic_models
 
 
 class TestEvaluationOrder:
@@ -220,10 +221,10 @@ class TestCompileExpr:
             compile_expr(node)
 
     def test_gated_if_without_recorded_branch_raises(self):
-        f = compile_expr(If(Ref("x"), Num(1.0), Num(2.0)), gated=True)
-        assert f({}, 0.0, 1.0, [False]) == 2.0
+        f = compile_expr(If(Ref("x"), Num(1.0), Num(2.0)), column=True)
+        assert f([0.0, 1.0], 1.0, range(2), [0.0, 0.0], [False, True]) == [2.0, 1.0]
         with pytest.raises(ValueError):
-            f({}, 0.0, 1.0, [None])
+            f([0.0], 1.0, range(1), [0.0], [None])
 
 
 # hypothesis: compiled equations against reference.eval_expr, the interpreter they replaced
@@ -287,7 +288,9 @@ def test_gated_form_matches_override(expr, env, t, dt, data):
     n = len(iter_if_nodes(expr))
     branches = data.draw(st.lists(st.sampled_from([True, False, None]), min_size=n, max_size=n))
     want = _outcome(lambda: reference.eval_expr(expr, dict(env), t, dt, _slots(expr), override=branches))
-    assert _outcome(lambda: compile_expr(expr, gated=True)(dict(env), t, dt, branches)) == want
+    # the column form over one step: TIME, each name and each IF slot is a column of one
+    columns = [[env[name]] for name in expr_refs(expr)] + [[b] for b in branches]
+    assert _outcome(lambda: compile_expr(expr, column=True)([t], dt, range(1), *columns)[0]) == want
 
 
 # synthetic models: every one has loops, so the catalogs compared are not all empty
@@ -428,6 +431,9 @@ _STOCK_OVERFLOWS = (
     "SPEC START = 0 STOP = 3 DT = 1\nSTOCK s = 0 { inflow: f outflow: g }\n"
     "AUX a = IF s > 0 THEN MIN(s, 1) ELSE ABS(s - 1)\nFLOW f = 0 * -1\nFLOW g = -a\n"
 ))
+# a mixed point that divides by zero at one step only: that edge is scored again step by step
+@example(sl.parse_model(DIVIDES_AT_ONE_MIXED_POINT))
+@example(sl.parse_model(DIVIDES_INSIDE_IF_AT_ONE_STEP))
 # sums of three flows whose bits depend on the order they are added in
 @example(sl.parse_model(
     "SPEC START = 0 STOP = 2 DT = 1\nSTOCK s = 0 { inflow: a, b, c outflow: d, e, f }\n"

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 import sdloops as sl
+from sdloops import scoring
 from sdloops.scoring import LinkScoreSeries, link_score_step
-from strategies import CANCELLING_INFLOWS, DIVIDES_AT_MIXED_POINT, STEEP_GATE
+from strategies import CANCELLING_INFLOWS, DIVIDES_AT_MIXED_POINT, DIVIDES_AT_ONE_MIXED_POINT, STEEP_GATE
 
 # Frozen by hand execution of the two-stock fixture (stocks double every
 # step; Flow_2 takes its then-branch only at evaluation time 4, Flow_1
@@ -74,21 +75,23 @@ class TestStepApi:
             step = link_score_step(two_stock_model, two_stock_run, k)
             assert list(step.items()) == [(e, two_stock_series.series[e][k]) for e in two_stock_series.edges]
 
-    def test_branches_read_once_per_destination_per_step(
+    def test_one_column_compile_per_destination_per_score_all(
         self, two_stock_model, two_stock_run, two_stock_series, monkeypatch
     ):
-        calls = []
-        original = two_stock_run.branches_at
+        compiled = []
+        original = scoring.compile_equation
 
-        def branches_at(name, k):
-            calls.append((name, k))
-            return original(name, k)
+        def compile_equation(var, column=False):
+            compiled.append((var.name, column))
+            return original(var, column)
 
-        monkeypatch.setattr(two_stock_run, "branches_at", branches_at)
-        assert sl.score_all(two_stock_model, two_stock_run).series == two_stock_series.series
-        assert calls and len(calls) == len(set(calls))
-        destinations = {dst for _, dst in two_stock_series.edges}
-        assert {name for name, _ in calls} <= destinations
+        monkeypatch.setattr(scoring, "compile_equation", compile_equation)
+        series = sl.score_all(two_stock_model, two_stock_run)
+        assert sorted(compiled) == sorted((v.name, True) for v in two_stock_model.by_kind("aux", "flow"))
+        assert series.series == two_stock_series.series
+        for k in range(1, two_stock_run.n + 1):
+            want = reference.reference_link_score_step(two_stock_model, two_stock_run, k)
+            assert {e: repr(scores[k]) for e, scores in series.series.items()} == {e: repr(s) for e, s in want.items()}
 
     def test_constant_input_scores_zero(self):
         model = sl.parse_model(
@@ -303,6 +306,22 @@ def test_mixed_point_division_by_zero_scores_zero():
         assert run.values["g"][k] != run.values["g"][k - 1]
         assert link_score_step(model, run, k)[("s1", "g")] == 0.0
         assert link_score_step(model, run, k)[("s0", "g")] != 0.0
+
+
+def test_one_mixed_point_division_by_zero_scores_zero_at_that_step_alone():
+    """The whole-run call for a -> f divides by zero at step 1 alone, so the
+    edge is scored again step by step: step 1 scores 0, the others keep
+    the scores the reference gives them."""
+    model = sl.parse_model(DIVIDES_AT_ONE_MIXED_POINT)
+    run = sl.simulate(model)
+    series = sl.score_all(model, run).series
+    scores = series[("a", "f")]
+    assert scores[1] == 0.0
+    for k in range(2, run.n + 1):
+        assert scores[k] != 0.0
+        assert repr(scores[k]) == repr(reference.reference_link_score_step(model, run, k)[("a", "f")])
+        assert repr(scores[k]) == repr(link_score_step(model, run, k)[("a", "f")])
+    assert all(s != 0.0 for s in series[("b", "f")][1:])
 
 
 _observations = st.one_of(
