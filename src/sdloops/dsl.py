@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from ._graphutil import strongly_connected_components
@@ -176,6 +177,12 @@ class Variable:
     outflows: tuple[str, ...] = ()
     loc: Loc | None = field(default=None, compare=False, repr=False)
 
+    @cached_property
+    def refs(self) -> tuple[str, ...]:
+        """expr_refs of the expression, walked once: an equation is not
+        changed after parsing."""
+        return tuple(expr_refs(self.expr))
+
 
 @dataclass
 class Model:
@@ -184,11 +191,12 @@ class Model:
     warnings: tuple[Diagnostic, ...] = field(default=(), compare=False, repr=False)
 
     def variable(self, name: str) -> Variable:
-        """The variable called `name`, by a linear scan; KeyError if none."""
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+        """The first variable called `name`; KeyError if none."""
+        return self._byname[name]
+
+    @cached_property
+    def _byname(self) -> dict[str, Variable]:
+        return {v.name: v for v in reversed(self.variables)}
 
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
@@ -504,7 +512,7 @@ def _structural_diagnostics(model: Model, spec_loc: Loc | None = None) -> list[D
             byname[v.name] = v
 
     for v in model.variables:
-        for ref in expr_refs(v.expr):
+        for ref in v.refs:
             target = byname.get(ref)
             if target is None:
                 diags.append(Diagnostic(f"unresolved reference {ref}", v.loc))
@@ -555,7 +563,7 @@ def validate(model: Model) -> list[Diagnostic]:
 
     def cycle_diags(names: list[str], kind_label: str) -> list[Diagnostic]:
         nameset = set(names)
-        adj = {n: [r for r in expr_refs(byname[n].expr) if r in nameset] for n in names}
+        adj = {n: [r for r in byname[n].refs if r in nameset] for n in names}
         out = []
         for n in names:
             if n in adj[n]:
@@ -588,7 +596,7 @@ def dependency_graph(model: Model) -> Digraph:
             for f in v.inflows + v.outflows:
                 edges.append((f, v.name))
         elif v.kind in ("aux", "flow"):
-            for ref in expr_refs(v.expr):
+            for ref in v.refs:
                 if ref in names and ref != v.name:
                     edges.append((ref, v.name))
     return Digraph(model.names(), tuple(edges))

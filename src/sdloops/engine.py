@@ -1,8 +1,9 @@
 """Fixed-step Euler simulation of a validated model.
 
-Per step k the auxiliaries and flows, each compiled once per run
-(compile_expr), are evaluated in topological order against the stock
-values at t_k (recording every IF branch taken), then stocks integrate
+Each run generates and compiles one Python function holding the whole
+step loop (_run_source).  Per step k it evaluates the auxiliaries and
+flows in topological order against the stock values at t_k, every name a
+local variable, recording every IF branch taken; then stocks integrate
 to t_{k+1}:
 
     stock[k+1] = stock[k] + dt * (sum of inflows[k] - sum of outflows[k])
@@ -20,22 +21,8 @@ from functools import reduce
 from operator import add
 
 from .dsl import (
-    Bin,
-    Builtin,
-    Call,
-    Diagnostic,
-    If,
-    Loc,
-    Model,
-    ModelError,
-    Num,
-    Ref,
-    RunSpec,
-    Unary,
-    Variable,
-    expr_refs,
-    format_number,
-    iter_if_nodes,
+    Bin, Builtin, Call, Diagnostic, If, Loc, Model, ModelError, Num, Ref, RunSpec, Unary, Variable,
+    format_number, iter_if_nodes,
 )
 
 __all__ = [
@@ -110,7 +97,7 @@ def _topological_order(model: Model, kinds: tuple[str, ...]) -> list[str]:
     pending: dict[str, set[str]] = {}
     dependents: dict[str, list[str]] = {name: [] for name in names}
     for v in members:
-        deps = {r for r in expr_refs(v.expr) if r in names and r != v.name}
+        deps = {r for r in v.refs if r in names and r != v.name}
         pending[v.name] = deps
         for d in deps:
             dependents[d].append(v.name)
@@ -145,7 +132,6 @@ _BINARY_OPS = {
     "OR": ("1.0 if ({} != 0.0) | ({} != 0.0) else 0.0", 0),
 }
 _FUNCS = {"MIN": "min(({},))", "MAX": "max(({},))", "ABS": "abs({})"}
-_BUILTINS = {"DT": "dt", "TIME": "t"}
 
 
 def _take(branches, slot: int, taken: bool) -> bool:
@@ -157,33 +143,27 @@ def _unrecorded():
     raise ValueError("no recorded branch for IF node")
 
 
-def compile_expr(expr, column: bool = False):
-    """Compile an expression tree, numbering IF nodes by pre-order slot as iter_if_nodes does.
+def _emitter(consts: list, ifs: list, ref, time: str, gate: str, literals: bool = False):
+    """A function giving the Python source of an expression tree.  A number
+    is appended to `consts` and becomes c[i], its index there, unless
+    `literals` is set and it is finite and unsigned: then it is its repr,
+    which reads back as the same float.  A reference becomes ref(name) and
+    TIME `time`; an IF node is appended to `ifs` and becomes `gate`
+    formatted with its slot (its position in `ifs`) and the source of its
+    three operands."""
 
-    Record form, f(values, t, dt, branches): each evaluated IF writes its
-    branch (True for then) into branches[slot], a mutable sequence or
-    mapping.  Column form, f(T, dt, J, *columns, *branches), one column
-    per name of expr_refs(expr) in that order, then one per IF slot: it
-    returns [EXPR for j in J], where a name reads its column at j, TIME
-    reads T[j] and each IF takes its slot's branch at j, never evaluating
-    its condition; a branch of None raises ValueError.  Model text
-    reaches the generated source only as repr'd names; number literals go
-    through a constants tuple, operators and functions through fixed tables.
-    """
-    consts: list[float] = []
-    ifs: list[If] = []  # in pre-order: the position is the slot
-    refs: dict[str, str] = {}  # column form: name -> parameter, by first occurrence, as expr_refs orders them
-
-    def emit(node, level: int) -> str:
+    def emit(node, level: int = 0) -> str:
         """Python source for `node`, parenthesized unless it binds at
         least as tightly as `level` (one frame per tree level)."""
-        if isinstance(node, Num):
+        if isinstance(node, Num) and literals and math.isfinite(node.value) and math.copysign(1.0, node.value) > 0:
+            code, prec = repr(node.value), 4
+        elif isinstance(node, Num):
             consts.append(node.value)
             code, prec = f"c[{len(consts) - 1}]", 4
         elif isinstance(node, Ref):
-            code, prec = (f"{refs.setdefault(node.name, f'r{len(refs)}')}[j]" if column else f"v[{node.name!r}]"), 4
+            code, prec = ref(node.name), 4
         elif isinstance(node, Builtin):
-            code, prec = ("T[j]" if column and node.name == "TIME" else _BUILTINS[node.name]), 4
+            code, prec = {"DT": "dt", "TIME": time}[node.name], 4
         elif isinstance(node, Unary) and node.op in _UNARY_OPS:
             template, prec = _UNARY_OPS[node.op]
             code = template.format(emit(node.operand, max(prec, 1)))
@@ -193,12 +173,8 @@ def compile_expr(expr, column: bool = False):
         elif isinstance(node, If):
             slot = len(ifs)
             ifs.append(node)
-            cond = emit(node.cond, 1)  # numbers the IFs inside the condition in either form
-            then, orelse = emit(node.then, 1), emit(node.orelse, 0)
-            if column:
-                code = f"{then} if b{slot}[j] else _unrecorded() if b{slot}[j] is None else {orelse}"
-            else:
-                code = f"{then} if _take(b, {slot}, {cond} != 0.0) else {orelse}"
+            cond = emit(node.cond, 1)  # numbers the IFs inside the condition in every form
+            code = gate.format(slot=slot, cond=cond, then=emit(node.then, 1), orelse=emit(node.orelse, 0))
             prec = 0
         elif isinstance(node, Call) and node.fn in _FUNCS:  # the parser checks the argument counts
             code, prec = _FUNCS[node.fn].format(", ".join(emit(a, 0) for a in node.args)), 4
@@ -208,9 +184,35 @@ def compile_expr(expr, column: bool = False):
             raise TypeError(f"not an expression node: {node!r}")
         return code if prec >= level else f"({code})"
 
-    body = emit(expr, 0)
-    params = ", ".join(["T, dt, J", *refs.values(), *(f"b{slot}" for slot in range(len(ifs)))])
-    source = f"lambda {params}: [{body} for j in J]" if column else f"lambda v, t, dt, b: {body}"
+    return emit
+
+
+def compile_expr(expr, column: bool = False):
+    """Compile an expression tree, numbering IF nodes by pre-order slot as iter_if_nodes does.
+
+    Record form, f(values, t, dt, branches): each evaluated IF writes its
+    branch (True for then) into branches[slot], a mutable sequence or
+    mapping.  Column form, f(T, dt, J, *columns, *branches), one column
+    per name of expr_refs(expr) in that order, then one per IF slot: it
+    returns [EXPR for j in J], where a name reads its column at j, TIME
+    reads T[j] and each IF takes its slot's branch at j, never evaluating
+    its condition; a branch of None raises ValueError.  `simulate`'s run
+    function inlines every equation through the same emitter (_emitter).
+    Names reach generated source only as repr'd strings or numbered
+    locals, numbers through a constants tuple or as the repr of a float,
+    operators and functions through fixed tables.
+    """
+    consts: list[float] = []
+    ifs: list[If] = []
+    if column:
+        refs: dict[str, str] = {}  # name -> parameter, by first occurrence, as expr_refs orders them
+        gate = "{then} if b{slot}[j] else _unrecorded() if b{slot}[j] is None else {orelse}"
+        body = _emitter(consts, ifs, lambda name: f"{refs.setdefault(name, f'r{len(refs)}')}[j]", "T[j]", gate)(expr)
+        params = ", ".join(["T, dt, J", *refs.values(), *(f"b{slot}" for slot in range(len(ifs)))])
+        source = f"lambda {params}: [{body} for j in J]"
+    else:
+        body = _emitter(consts, ifs, lambda name: f"v[{name!r}]", "t", "{then} if _take(b, {slot}, {cond} != 0.0) else {orelse}")(expr)
+        source = f"lambda v, t, dt, b: {body}"
     return eval(compile(source, "<sdloops equation>", "eval"), {"c": tuple(consts), "_take": _take, "_unrecorded": _unrecorded})
 
 
@@ -229,10 +231,9 @@ def _eval_initials(model: Model, spec: RunSpec | None = None) -> dict[str, float
     """Constants and stock initial values, evaluated in dependency order
     (validation guarantees the reference graph is acyclic)."""
     spec = spec if spec is not None else model.run_spec
-    byname = {v.name: v for v in model.variables}
     initials: dict[str, float] = {}
     for name in _topological_order(model, ("const", "stock")):
-        var = byname[name]
+        var = model.variable(name)
         try:
             v = compile_equation(var)(initials, spec.start, spec.dt, {})
         except ZeroDivisionError:
@@ -241,6 +242,71 @@ def _eval_initials(model: Model, spec: RunSpec | None = None) -> dict[str, float
             raise SimulationError("non-finite value", name, 0, var.loc)
         initials[name] = v
     return initials
+
+
+def _run_source(model: Model, equations: list[Variable], consts: list) -> str:
+    """Source of `run(n, T, dt, c, cells)`, the step loop with every
+    equation inlined.  `cells` holds the values of the constants and stocks
+    (locals xi, i the variable's place in the model), the columns of the
+    equations in `equations` order and then of the stocks (Xi), and the
+    branch-trace column of every IF slot, equation by equation (bj); `c`
+    holds the numbers that are not finite and unsigned.  At step k each
+    equation is evaluated, checked (x - x is nan unless x is finite) and
+    stored at k, each IF writing its branch at k; below step n each stock
+    then steps to k + 1 by xs + dt * ((0 + in...) - (0 + out...)),
+    left_sum's fold.  `run` returns None, or the message and step of the
+    first failure: its variable is the first whose column is still None
+    there (at the next step for a stock).
+    """
+    index = {v.name: f"{i}" for i, v in enumerate(model.variables)}
+    stocks = model.by_kind("stock")
+    ifs: list[If] = []
+    emit = _emitter(consts, ifs, lambda name: f"x{index[name]}", "t", "{then} if _take(b{slot}, k, {cond} != 0.0) else {orelse}", True)
+    body = []
+    for v in equations:
+        i = index[v.name]
+        body += [f"x{i} = {emit(v.expr)}", f"if x{i} - x{i}: break", f"X{i}[k] = x{i}"]
+    body += ["if k < n:"] if stocks else []
+    for s in stocks:
+        i = index[s.name]
+        net = " - ".join(f"({' + '.join(['0', *(f'x{index[f]}' for f in flows)])})" for flows in (s.inflows, s.outflows))
+        body += [f"    x{i} = x{i} + dt * ({net})", f"    if x{i} - x{i}: break", f"    X{i}[k + 1] = x{i}"]
+    cells = [
+        *(f"x{index[v.name]}" for v in model.by_kind("const", "stock")),
+        *(f"X{index[v.name]}" for v in equations + stocks),
+        *(f"b{slot}" for slot in range(len(ifs))),
+    ]
+    return "\n".join([
+        "def run(n, T, dt, c, cells):",
+        f"    {', '.join(cells)}, = cells" if cells else "",
+        "    try:",
+        "        for k in range(n + 1):",
+        "            t = T[k]",
+        *(f"            {line}" for line in body),
+        "        else:",
+        "            return None",
+        "    except ZeroDivisionError:",
+        "        return 'division by zero', k",
+        "    return 'non-finite value', k",
+    ])
+
+
+def _compile_run(model: Model, equations: list[Variable]):
+    """`run` of _run_source and its constants.  When Python cannot compile
+    it, each equation is compiled alone, in the same statements, to name
+    the first one nested too deeply (ModelError)."""
+    consts: list[float] = []
+    namespace = {"_take": _take}
+    try:
+        exec(compile(_run_source(model, equations, consts), "<sdloops run>", "exec"), namespace)
+    except (SyntaxError, RecursionError):
+        for var in equations:
+            try:
+                compile(_run_source(model, [var], []), "<sdloops run>", "exec")
+            except (SyntaxError, RecursionError):
+                raise ModelError([Diagnostic(f"equation of {var.name} is nested too deeply to compile", var.loc)]) from None
+        raise
+    return namespace.pop("run"), tuple(consts)  # no reference cycle through its globals
 
 
 def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:
@@ -253,53 +319,28 @@ def simulate(model: Model, spec: RunSpec | None = None) -> RunResult:
     spec = spec if spec is not None else model.run_spec
     n = spec.steps
     dt = spec.dt
-    order = evaluation_order(model)
-    byname = {v.name: v for v in model.variables}
+    equations = [model.variable(name) for name in evaluation_order(model)]
+    stocks = model.by_kind("stock")
     times = tuple(spec.start + i * dt for i in range(n + 1))
 
     initials = _eval_initials(model, spec)
-    values: dict[str, list[float]] = {v.name: [0.0] * (n + 1) for v in model.variables}
-    compiled = {name: compile_equation(byname[name]) for name in order}
-    trace = {name: [[None] * (n + 1) for _ in iter_if_nodes(byname[name].expr)] for name in order}
+    run, consts = _compile_run(model, equations)
+    values: dict[str, list] = {  # None at each step the run has not written (an aux or flow has no initial)
+        v.name: [initials.get(v.name)] * (n + 1) if v.kind == "const" else [initials.get(v.name)] + [None] * n
+        for v in model.variables
+    }
+    trace = {v.name: [[None] * (n + 1) for _ in iter_if_nodes(v.expr)] for v in equations}
 
-    for v in model.variables:
-        if v.kind == "const":
-            values[v.name] = [initials[v.name]] * (n + 1)
-        elif v.kind == "stock":
-            values[v.name][0] = initials[v.name]
-
-    # tables built once per run: (name, column) of each const and stock; per equation (name,
-    # function, column, trace slots, loc); per stock its column and its flows' columns
-    known = [(v.name, values[v.name]) for v in model.variables if v.kind in ("const", "stock")]
-    equations = [(name, compiled[name], values[name], trace[name], byname[name].loc) for name in order]
-    stocks = [
-        (s.name, values[s.name], [values[f] for f in s.inflows], [values[f] for f in s.outflows], s.loc)
-        for s in model.by_kind("stock")
-    ]
-    for k in range(n + 1):
-        t = times[k]
-        env = {name: column[k] for name, column in known}
-        for name, f, column, slots, loc in equations:
-            record = [None] * len(slots) if slots else None  # only an IF node writes a record
-            try:
-                val = f(env, t, dt, record)
-            except ZeroDivisionError:
-                raise SimulationError("division by zero", name, k, loc) from None
-            if not math.isfinite(val):
-                raise SimulationError("non-finite value", name, k, loc)
-            env[name] = column[k] = val
-            if slots:
-                for slot, taken in zip(slots, record):
-                    slot[k] = taken
-        if k < n:
-            for name, column, ins, outs, loc in stocks:
-                # left_sum's fold from the int 0, so a lone -0.0 inflow gives 0.0
-                net = reduce(add, [c[k] for c in ins], 0) - reduce(add, [c[k] for c in outs], 0)
-                nxt = column[k] + dt * net
-                if not math.isfinite(nxt):
-                    raise SimulationError("non-finite value", name, k + 1, loc)
-                column[k + 1] = nxt
-
+    failure = run(n, times, dt, consts, [
+        *(initials[v.name] for v in model.by_kind("const", "stock")),
+        *(values[v.name] for v in equations + stocks),
+        *(slot for v in equations for slot in trace[v.name]),
+    ])
+    if failure is not None:
+        message, k = failure
+        steps = [(v, k) for v in equations] + [(s, k + 1) for s in stocks]
+        var, step = next((v, step) for v, step in steps if values[v.name][step] is None)
+        raise SimulationError(message, var.name, step, var.loc)
     return RunResult(model.names(), times, values, trace, spec)
 
 

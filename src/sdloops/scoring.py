@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-from .dsl import Model, dependency_graph, expr_refs, format_number
+from .dsl import Model, dependency_graph, format_number
 from .engine import RunResult, compile_equation, left_sum
 
 __all__ = [
@@ -109,7 +109,7 @@ def _extend_scores(model: Model, run: RunResult, first: int, last: int, columns:
                 ]
             continue
         f = compile_equation(var, column=True)
-        where = {name: i for i, name in enumerate(expr_refs(var.expr))}
+        where = {name: i for i, name in enumerate(var.refs)}
         args = [old[name] for name in where] + [slots[first - 1:last] for slots in run.branch_trace[dst]]
         for src, _ in edges:
             dxs, i = diff[src], where[src]

@@ -9,8 +9,10 @@ or writes a definition out step by step; do not optimise or change them.
 * `eval_expr`: `engine.compile_expr`, record and column forms (`test_engine.py`:
   `test_record_form_matches_reference`, `test_gated_form_matches_override`); with
   `override`, the branch-gated equation of `reference_link_score_step`.
-* `simulate`: `engine.simulate` (`test_engine.py`: `test_simulate_and_score_all_match_reference`,
-  `test_simulation_errors_match_reference`).
+* `simulate`: `engine.simulate`, which inlines every equation into one generated step
+  loop, against one compiled equation at a time (`test_engine.py`:
+  `test_simulate_and_score_all_match_reference`, `test_simulation_errors_match_reference`
+  and every test that calls `_matches_reference`).
 * `linear_coefficients`: the exact gains of a linear equation (`test_scoring.py`:
   `test_closed_form_oracle_for_equation_edges`; `test_acceptance.py`: criterion 2).
 * `reference_link_score_step`: `scoring.score_all` (`test_engine.py`:

@@ -362,3 +362,23 @@ def test_nesting_limit_matches_reference(nest):
 
 def test_parser_printer_and_compiler_share_one_operator_set():
     assert set(engine._BINARY_OPS) == set(dsl._LEVELS)
+
+
+def test_each_equation_is_walked_once_per_analysis(monkeypatch):
+    """Parsing, validation, both topological orders, the dependency graph
+    and scoring read each variable's references from one walk of its tree."""
+    walked = []
+    original = dsl.expr_refs
+    monkeypatch.setattr(dsl, "expr_refs", lambda expr: walked.append(expr) or original(expr))
+    model = sl.parse_model(sl.ARMS_RACE.source)
+    assert sl.validate(model) == []
+    sl.score_all(model, sl.simulate(model))
+    assert len(walked) == len(model.variables)
+
+
+def test_variable_lookup_finds_the_first_of_a_name():
+    first, second = sl.Variable("a", "const", Num(1.0)), sl.Variable("a", "aux", Num(2.0))
+    model = sl.Model((first, second), sl.RunSpec(0.0, 1.0, 1.0))
+    assert model.variable("a") is first
+    with pytest.raises(KeyError):
+        model.variable("b")

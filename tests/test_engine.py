@@ -460,3 +460,124 @@ def test_simulation_errors_match_reference(text, variable, step):
     outcome = _simulation(sl.simulate, model)
     assert outcome[0] == "error" and outcome[2:4] == (variable, step)
     assert outcome == _simulation(reference.simulate, model)
+
+
+# --------------------------------------------------------------------------
+# the generated run function: each case against reference.simulate, which
+# calls one compiled equation at a time
+
+
+def _by_repr(simulate, model):
+    """A run's values and branch trace by repr, or the error it raised
+    (ModelError or SimulationError, with its variable, step and location)."""
+    try:
+        run = simulate(model)
+    except sl.SimulationError as err:
+        return ("error", str(err), err.variable, err.step, err.loc)
+    except sl.ModelError as err:
+        return ("model error", str(err))
+    return ("run", {name: repr(column) for name, column in run.values.items()}, repr(run.branch_trace))
+
+
+def _matches_reference(model):
+    model = sl.parse_model(model) if isinstance(model, str) else model
+    outcome = _by_repr(sl.simulate, model)
+    assert outcome == _by_repr(reference.simulate, model)
+    return outcome
+
+
+_SPEC = "SPEC START = 0 STOP = 5 DT = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _SPEC + "CONST c = 2\nAUX a = c * TIME\nAUX b = IF a > 2 THEN a ELSE -a\n",  # no stock
+        _SPEC + "CONST c = 2\nSTOCK s = c { }\nSTOCK r = s + 1 { }\n",  # no aux or flow
+        _SPEC + "CONST c = 2\n",
+    ],
+    ids=["no stock", "no aux or flow", "constants only"],
+)
+def test_models_without_stocks_or_equations(text):
+    assert _matches_reference(text)[0] == "run"
+
+
+def test_names_of_the_generated_source_are_model_names_too():
+    # dt is a keyword of the language, so this model is built without the parser
+    variables = [
+        sl.Variable("k", "const", Num(0.5)),
+        sl.Variable("t", "stock", Bin("*", Ref("k"), Num(2.0)), ("n",), ("c",)),
+        sl.Variable("n", "flow", Bin("*", Ref("t"), Ref("k"))),
+        sl.Variable("c", "flow", If(Bin(">", Ref("t"), Num(1.2)), Ref("dt"), Num(0.0))),
+        sl.Variable("dt", "aux", Bin("-", Ref("t"), Num(1.0))),
+    ]
+    chain = ["dt", "T", "x0", "X0", "b0", "c0", "lambda", "None", "cells", "_take", "range"]
+    for prev, name in zip(chain, chain[1:]):
+        variables.append(sl.Variable(name, "aux", Bin("+", Bin("*", Ref(prev), Builtin("DT")), Builtin("TIME"))))
+    model = sl.Model(tuple(variables), sl.RunSpec(0.0, 6.0, 0.5))
+    assert sl.validate(model) == []
+    assert _matches_reference(model)[0] == "run"
+
+
+def test_signed_and_infinite_numbers_keep_their_bits():
+    # the parser makes only unsigned numbers: these come from a model built in code
+    variables = [
+        sl.Variable("s", "stock", Num(1.0), ("f",)),
+        sl.Variable("f", "flow", Bin("*", Num(-0.0), Ref("s"))),
+        sl.Variable("a", "aux", Bin("+", Num(-2.5), Unary("-", Num(-0.0)))),
+        sl.Variable("g", "aux", If(Bin(">", Builtin("TIME"), Num(100.0)), Num(float("inf")), Bin("*", Num(1e308), Num(0.5)))),
+    ]
+    model = sl.Model(tuple(variables), sl.RunSpec(0.0, 3.0, 1.0))
+    assert sl.validate(model) == []
+    assert _matches_reference(model)[0] == "run"
+    assert repr(sl.simulate(model).values["f"]) == repr([-0.0] * 4)
+
+
+def test_names_of_the_generated_source_parse_and_run():
+    text = _SPEC + "CONST lambda = 0.5\nSTOCK None = 1 { inflow: k }\nFLOW k = lambda * None\nAUX T = k + TIME\n"
+    assert _matches_reference(text)[0] == "run"
+
+
+# at step 2, s = 3: big overflows to inf and d divides by zero
+_BIG = "AUX big = IF s > 2 THEN 1e300 * 1e300 ELSE 0\n"
+_DIVIDES = "AUX d = 1 / (s - 3)\n"
+_RAMP = _SPEC + "FLOW f = 1\nSTOCK s = 1 { inflow: f }\n"
+
+
+@pytest.mark.parametrize(
+    "text, variable, message",
+    [(_RAMP + _BIG + _DIVIDES, "big", "non-finite value"), (_RAMP + _DIVIDES + _BIG, "d", "division by zero")],
+    ids=["non-finite first", "division first"],
+)
+def test_first_failure_of_a_step_in_evaluation_order(text, variable, message):
+    outcome = _matches_reference(text)
+    assert outcome[0] == "error" and outcome[2:4] == (variable, 2)
+    assert outcome[1].startswith(message)
+
+
+def test_stock_overflow_is_reported_at_the_next_step():
+    # s doubles from 1e307: 1.6e308 at step 4, inf at step 5
+    outcome = _matches_reference(_SPEC + "STOCK s = 1e307 { inflow: f }\nFLOW f = s\n")
+    assert outcome[0] == "error" and outcome[2:4] == ("s", 5)
+    assert outcome[1].startswith("non-finite value")
+
+
+def test_if_nested_in_an_untaken_branch_records_nothing():
+    model = sl.parse_model(_RAMP + "AUX a = IF s > 2 THEN (IF s > 4 THEN 1 ELSE 2) ELSE 0\n")
+    assert _matches_reference(model)[0] == "run"
+    outer, inner = sl.simulate(model).branch_trace["a"]  # s = 1, 2, ..., 6
+    assert outer == [False, False, True, True, True, True]
+    assert inner == [None, None, False, False, True, True]
+
+
+def test_too_deep_equation_among_others_is_named():
+    deep = " AND ".join(f"s > {i}" for i in range(120))
+    text = _SPEC + f"STOCK s = 1 {{ inflow: f1, f2, f3 }}\nFLOW f1 = s\nFLOW f2 = {deep}\nFLOW f3 = 2 * s\n"
+    outcome = _matches_reference(text)
+    assert outcome == ("model error", "error: equation of f2 is nested too deeply to compile (line 4, col 6)")
+
+
+def test_long_aux_chain_matches_reference():
+    chain = "".join(f"AUX a_{i} = a_{i - 1} * 0.999 + 0.001\n" for i in range(1, 3001))
+    text = "SPEC START = 0 STOP = 3 DT = 1\nSTOCK a_0 = 1 { inflow: f }\nFLOW f = 0.01 * a_3000\n" + chain
+    assert _matches_reference(text)[0] == "run"
