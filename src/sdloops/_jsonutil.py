@@ -12,10 +12,11 @@ a list of only str or only float items into text with one `str.join`
 over a `map`.
 
 `catalog_json_pieces(head, loops, loop_dict)` is the same text for a loop
-catalog, the program's largest document: each loop record is one piece
-made by one f-string, its indents written out and its cycle encoded with
-one `str.join`.  A record the template does not fit goes through the
-generic writer as `loop_dict(record)`.  `ranking_json_pieces` does the
+catalog, the program's largest document: each loop, a tuple
+`(cycle, discovery_score, found_at)`, is one piece made by one f-string,
+its indents written out and its cycle encoded with one `str.join`.  A
+loop the template does not fit goes through the generic writer as
+`loop_dict(*loop)`.  `ranking_json_pieces` does the
 same for a ranking: a loop's series are "0.0" but at the steps its
 active-step mask marks, the only ones that go through `float.__repr__`.
 """
@@ -48,16 +49,16 @@ _FOUND_AT = {int: int.__repr__, str: _encode_str}  # exact type -> writer; any o
 
 
 def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
-    """The text of ``indented_json_pieces({**head, "loops": [loop_dict(r)
-    for r in loops]})`` in pieces, one per loop.  A record whose cycle is
-    a non-empty sequence of str, whose discovery_score is a float and whose
-    found_at is an int or a str is written from one template; any other
-    record is written as `loop_dict(record)` by the generic writer."""
+    """The text of ``indented_json_pieces({**head, "loops": [loop_dict(*loop)
+    for loop in loops]})`` in pieces, one per loop; each loop is a tuple
+    (cycle, discovery_score, found_at).  A loop whose cycle is a non-empty
+    sequence of str, whose discovery_score is a float and whose found_at is
+    an int or a str is written from one template; any other loop is written
+    as `loop_dict(*loop)` by the generic writer."""
     if not loops:
         return indented_json_pieces({**head, "loops": []})
     pieces = []
-    for rec in loops:
-        cycle, score, found_at = rec.cycle, rec.discovery_score, rec.found_at
+    for cycle, score, found_at in loops:
         found = _FOUND_AT.get(type(found_at))
         try:
             nodes = _NODE_SEP.join(map(_encode_str, cycle))
@@ -69,7 +70,7 @@ def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
                 f'"discovery_score": {_float(score)},\n      "found_at": {found(found_at)}{_LOOP_NEWLINE}}}'
             )
         else:
-            pieces.append("," + _LOOP_NEWLINE + _encode(loop_dict(rec), _LOOP_NEWLINE))
+            pieces.append("," + _LOOP_NEWLINE + _encode(loop_dict(cycle, score, found_at), _LOOP_NEWLINE))
     return _around_loops({**head, "loops": loops}, pieces)
 
 

@@ -258,21 +258,23 @@ def compare_catalogs(
     """
     count = slice(top_n).indices(len(reference))[1]  # as many as a slice [:top_n] keeps, top_n < 0 too
     if series is not None:
-        top = [p.record for p in rank_and_filter(reference, series, top=max(count, 1))[:count]]
-    else:
-        top = heapq.nsmallest(count, reference.loops(), key=lambda rec: (-abs(rec.discovery_score), rec.cycle))
+        top = [p.cycle for p in rank_and_filter(reference, series, top=max(count, 1))[:count]]
+    else:  # over the stored (cycle, discovery_score, found_at) tuples: no record is built
+        loops = heapq.nsmallest(count, reference._records.values(), key=lambda loop: (-abs(loop[1]), loop[0]))
+        top = [cycle for cycle, _, _ in loops]
     candidate_cycles = candidate.cycles()
     candidates_in_order = sorted(candidate_cycles)
-    top_loops = [{"cycle": list(rec.cycle), "present": rec.cycle in candidate_cycles} for rec in top]
+    top_loops = [{"cycle": list(cycle), "present": cycle in candidate_cycles} for cycle in top]
     near_misses = []
-    for rec in top:
-        if rec.cycle in candidate_cycles or not candidates_in_order:
+    for cycle in top:
+        if cycle in candidate_cycles or not candidates_in_order:
             continue
-        best = max(candidates_in_order, key=lambda cand: _cyclic_overlap_ratio(rec.cycle, cand))
-        ratio = _cyclic_overlap_ratio(rec.cycle, best)
+        best = max(candidates_in_order, key=lambda cand: _cyclic_overlap_ratio(cycle, cand))
+        ratio = _cyclic_overlap_ratio(cycle, best)
         if ratio > 0.0 and ratio >= near_miss_ratio:
-            near_misses.append({"reference_cycle": list(rec.cycle), "candidate_cycle": list(best), "overlap": ratio})
-    intersection_size = sum(cycle in reference for cycle in candidate_cycles)
+            near_misses.append({"reference_cycle": list(cycle), "candidate_cycle": list(best), "overlap": ratio})
+    # both hold canonical cycles; the key view's & walks the smaller side and copies neither
+    intersection_size = len(reference._records.keys() & candidate_cycles)
     return CompletenessReport(len(reference), len(candidate), intersection_size, top_loops, near_misses)
 
 

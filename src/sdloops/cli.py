@@ -278,8 +278,8 @@ def cmd_compare(args) -> None:
         model = _load_model(args.model)
         names = set(model.names())
         for catalog, label in ((reference, "reference"), (candidate, "candidate")):
-            for rec in catalog.loops():
-                if missing := [v for v in rec.cycle if v not in names]:
+            for cycle in catalog._records:  # the canonical cycles in catalog order, without building records
+                if missing := [v for v in cycle if v not in names]:
                     problem = f"{label} catalog references unknown variables: {', '.join(missing)}"
                     raise ModelError([Diagnostic(problem)])
         run = simulate(model)

@@ -33,6 +33,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import starmap
 from operator import getitem
 from typing import Callable, Iterable, Iterator
 
@@ -136,11 +137,14 @@ class LoopRecord:
 
 @dataclass
 class LoopCatalog:
-    """Deduplicated loop registry keyed by canonical cycle."""
+    """Deduplicated loop registry keyed by canonical cycle.  Each loop is
+    held as the plain tuple `(cycle, discovery_score, found_at)`, the
+    fields of its LoopRecord in the same order; records are built only
+    by `loops()`."""
 
     provenance: str = "exhaustive"
     overflow: bool = False
-    _records: dict[Cycle, LoopRecord] = field(default_factory=dict)
+    _records: dict[Cycle, tuple[Cycle, float, int | str]] = field(default_factory=dict)
 
     def add(self, cycle: Iterable[str], discovery_score: float, found_at: int | str) -> bool:
         """Record a loop unless its canonical cycle is already present.
@@ -148,11 +152,12 @@ class LoopCatalog:
         key = canonical_form(cycle)
         if key in self._records:
             return False
-        self._records[key] = LoopRecord(key, discovery_score, found_at)
+        self._records[key] = (key, discovery_score, found_at)
         return True
 
     def loops(self) -> list[LoopRecord]:
-        return list(self._records.values())
+        """A new LoopRecord for each loop, in catalog order."""
+        return list(starmap(LoopRecord, self._records.values()))
 
     def cycles(self) -> set[Cycle]:
         return set(self._records)
@@ -170,8 +175,9 @@ class LoopCatalog:
 
     def to_json_pieces(self) -> list[str]:
         """to_json's text in pieces, one per loop, each written straight
-        from its record, so the pieces are the only copy of the document."""
-        return catalog_json_pieces(self._head(), self.loops(), _loop_json)
+        from its stored tuple, so the pieces are the only copy of the
+        document and no record is built."""
+        return catalog_json_pieces(self._head(), self._records.values(), _loop_json)
 
     def _head(self) -> dict:
         return {"provenance": self.provenance, "overflow": self.overflow}
@@ -213,8 +219,8 @@ class LoopCatalog:
     def from_json(cls, text: str) -> "LoopCatalog":
         """from_json_dict of the parsed text, with equal node names and
         equal found_at strings as one str object.  Each loop entry becomes
-        its record while the text is parsed, so no loop is held as a dict
-        and a record at once.  A document that this reading does not take
+        its stored tuple while the text is parsed, so no loop is held as a
+        dict and a tuple at once.  A document that this reading does not take
         whole (not a catalog, or one with a loop that is malformed or listed
         twice) is parsed again and read by from_json_dict, which says what
         is wrong."""
@@ -228,7 +234,8 @@ class LoopCatalog:
     def _from_records(cls, text: str) -> "LoopCatalog | None":
         """The catalog of text parsed with _record_hook, or None unless the
         document is an object with from_json_dict's head fields whose loops
-        all became records, none of them twice."""
+        all became tuples, none of them twice.  A tuple marks an entry the
+        hook took: JSON decoding itself never yields one."""
         try:
             data = json.loads(text, object_hook=_record_hook())
         except (ValueError, RecursionError):  # not JSON: from_json_dict's path says so
@@ -238,15 +245,15 @@ class LoopCatalog:
         loops, provenance, overflow = data.get("loops", []), data.get("provenance", "unknown"), data.get("overflow", False)
         if type(loops) is not list or type(provenance) is not str or type(overflow) is not bool:
             return None
-        records = {rec.cycle: rec for rec in loops if type(rec) is LoopRecord}
+        records = {rec[0]: rec for rec in loops if type(rec) is tuple}
         if len(records) != len(loops):
             return None
         return cls(provenance, overflow, records)
 
 
-def _loop_json(rec: LoopRecord) -> dict:
+def _loop_json(cycle: Cycle, discovery_score: float, found_at: int | str) -> dict:
     """One loop of the catalog's JSON document."""
-    return {"cycle": list(rec.cycle), "discovery_score": rec.discovery_score, "found_at": rec.found_at}
+    return {"cycle": list(cycle), "discovery_score": discovery_score, "found_at": found_at}
 
 
 def _string_sharing_hook():
@@ -272,8 +279,10 @@ def _string_sharing_hook():
 def _record_hook():
     """A json.loads object hook for one document: an object that from_json_dict
     reads as a loop as it stands (a cycle of distinct strings, a float score
-    that is finite, and a found_at that is a step or a string) becomes its
-    LoopRecord, with node names and found_at strings shared as by
+    that is finite, and a found_at that is a step or a string) becomes the
+    tuple LoopCatalog stores for it, its cycle rotated to the canonical
+    form (a cycle that starts at its smallest node, as every written one
+    does, is not sliced), with node names and found_at strings shared as by
     _string_sharing_hook.  Keys besides those three are passed over, as
     from_json_dict passes them over; any other object is returned as it is."""
     shared: dict[str, str] = {}
@@ -293,12 +302,13 @@ def _record_hook():
             return obj
         if type(first) is not str:  # of JSON values, only a string compares with a string
             return obj
-        pivot = cycle.index(first)
-        rotated = cycle[pivot:] + cycle[:pivot]
-        nodes = tuple(map(share, rotated, rotated))
+        if first != cycle[0]:
+            pivot = cycle.index(first)
+            cycle = cycle[pivot:] + cycle[:pivot]
+        nodes = tuple(map(share, cycle, cycle))
         if len(set(nodes)) != len(nodes):
             return obj
-        return LoopRecord(nodes, score, share(found_at, found_at) if kind is str else found_at)
+        return nodes, score, share(found_at, found_at) if kind is str else found_at
 
     return hook
 
@@ -434,7 +444,7 @@ def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCa
                 pivot = cycle.index(min(cycle))
                 cycle = cycle[pivot:] + cycle[:pivot]
                 score = math.prod(map(getitem, map(adj.__getitem__, cycle), cycle[1:] + cycle[:1]))
-            records[cycle] = LoopRecord(cycle, score, "static")
+            records[cycle] = (cycle, score, "static")
     return catalog
 
 

@@ -529,6 +529,29 @@ class TestCompare:
         assert main(["compare", str(path), str(path), "--model", twostock_path]) == 2
         assert "unknown variables" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "ref_loops, cand_loops, problem",
+        [
+            # catalog order, not sorted order: yy -> zz is listed before aa -> bb
+            ([("Stock_1", "Stock_2"), ("zz", "yy"), ("aa", "bb")], [("cand",)], "reference catalog references unknown variables: yy, zz"),
+            ([("Stock_1", "Stock_2")], [("zz", "yy"), ("aa",)], "candidate catalog references unknown variables: yy, zz"),
+        ],
+    )
+    def test_variable_mismatch_names_the_first_loop_in_catalog_order(
+        self, ref_loops, cand_loops, problem, twostock_path, tmp_path, capsys
+    ):
+        paths = []
+        for name, loops in (("ref.json", ref_loops), ("cand.json", cand_loops)):
+            catalog = sl.LoopCatalog()
+            for cycle in loops:
+                catalog.add(cycle, 1.0, "static")
+            paths.append(tmp_path / name)
+            paths[-1].write_text(catalog.to_json(), encoding="utf-8")
+        assert main(["compare", *map(str, paths), "--model", twostock_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {problem}\n"
+
     def test_known_variables_but_missing_edge(self, twostock_path, tmp_path, capsys):
         catalog = sl.LoopCatalog()
         catalog.add(("Stock_1", "Stock_2"), 1.0, "static")

@@ -444,7 +444,9 @@ def _catalogs(draw):
 
 
 def _catalog_of(found_at) -> LoopCatalog:
-    return LoopCatalog(_records={("a", "b"): LoopRecord(("a", "b"), 0.5, found_at)})
+    catalog = LoopCatalog()
+    catalog.add(("a", "b"), 0.5, found_at)
+    return catalog
 
 
 def _catalog_with_int_score() -> LoopCatalog:
@@ -747,6 +749,9 @@ def _read_by(read, text: str):
 @example(_loops_text('{"cycle": ["a"], "discovery_score": 1.0, "found_at": -1}'))
 @example('{"provenance": "exhaustive", "overflow": 0, "loops": []}')
 @example('{"loops": [{"cycle": ["a"], "discovery_score": 1.0, "found_at": 0}')  # not JSON
+@example(_loops_text('[["a", "b"], 1.0, 0]'))  # a loop as the array of its fields
+@example(_loops_text('{"cycle": ["a"], "discovery_score": 1.0, "found_at": 0}', '[["b", "c"], 1.0, "static"]'))
+@example('{"provenance": "exhaustive", "overflow": false, "loops": [["a", "b"], 1.0, 0]}')  # as the whole loops value
 def test_from_json_reads_as_the_reference_reader(text):
     assert _read_by(LoopCatalog.from_json, text) == _read_by(reference.reference_read_catalog, text)
 
@@ -762,6 +767,60 @@ def test_a_written_catalog_is_read_in_one_parse(greedy_miss_graph, monkeypatch):
     assert [(r.cycle, repr(r.discovery_score), r.found_at) for r in back.loops()] == [
         (r.cycle, repr(r.discovery_score), r.found_at) for r in catalog.loops()
     ]
+
+
+class _RecordingCatalog(LoopCatalog):
+    """A catalog that also lists, in order, each loop `add` took as new."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.added: list[tuple] = []
+
+    def add(self, cycle, discovery_score, found_at) -> bool:
+        new = super().add(cycle, discovery_score, found_at)
+        if new:
+            self.added.append((canonical_form(cycle), repr(discovery_score), found_at))
+        return new
+
+
+def _built_and_expected(route: str, graph: WeightedDigraph) -> tuple[LoopCatalog, list]:
+    """A catalog built by one route, and its loops in the order that route
+    stored them, as (cycle, repr(score), found_at), derived without loops()."""
+    if route == "add":
+        catalog = _RecordingCatalog()
+        for cycle, score, found_at in [(("b", "a"), -0.5, 3), (("c",), 2.0, "static"), (("a", "b"), 9.0, 0), (("e", "d"), 0.0, "x")]:
+            catalog.add(cycle, score, found_at)
+        return catalog, catalog.added
+    if route == "strongest_path_pass":
+        catalog = _RecordingCatalog(provenance="strongest-path")
+        strongest_path_pass(graph, catalog, found_at=4)
+        return catalog, catalog.added
+    if route == "enumerate_loops":
+        adj = {v: {w: weight for w, weight in graph.out[v] if weight != 0.0} for v in graph.nodes}
+        cycles = [canonical_form(cycle) for cycle, _ in _elementary_circuits(graph.nodes, adj)]
+        return enumerate_loops(graph), [(c, repr(cycle_score(graph, c)), "static") for c in cycles]
+    text = enumerate_loops(graph).to_json().replace('"static"', '"x"', 2).replace('"found_at": "static"', '"found_at": 7', 2)
+    loops = json.loads(text)["loops"]
+    expected = [(canonical_form(item["cycle"]), repr(item["discovery_score"]), item["found_at"]) for item in loops]
+    if route == "from_json":
+        return LoopCatalog.from_json(text), expected
+    return LoopCatalog.from_json_dict(json.loads(text)), expected
+
+
+@pytest.mark.parametrize("route", ["add", "enumerate_loops", "strongest_path_pass", "from_json", "from_json_dict"])
+def test_loops_are_fresh_equal_records_in_catalog_order(route):
+    names = "dcba"  # the search starts at d, so enumerate_loops rotates its circuits
+    graph = WeightedDigraph.from_edges(
+        (src, dst, (-1) ** (i + j) * (1.0 + i + 0.3 * j)) for i, src in enumerate(names) for j, dst in enumerate(names) if i != j
+    )
+    catalog, expected = _built_and_expected(route, graph)
+    first, second = catalog.loops(), catalog.loops()
+    assert len(first) == len(catalog) == len(expected) > 1
+    assert all(type(rec) is LoopRecord for rec in first)
+    assert [(r.cycle, repr(r.discovery_score), r.found_at) for r in first] == expected
+    assert first == second and all(a is not b for a, b in zip(first, second))
+    first.clear()  # the list is the caller's own
+    assert catalog.loops() == second
 
 
 # --------------------------------------------------------------------------
