@@ -13,18 +13,20 @@ over a `map`.
 
 `catalog_json_pieces(head, loops, loop_dict)` is the same text for a loop
 catalog, the program's largest document: each loop, a tuple
-`(cycle, discovery_score, found_at)`, is one piece made by one f-string,
-its indents written out and its cycle encoded with one `str.join`.  A
-loop the template does not fit goes through the generic writer as
-`loop_dict(*loop)`.  `ranking_json_pieces` does the
-same for a ranking: a loop's series are "0.0" but at the steps its
-active-step mask marks, the only ones that go through `float.__repr__`.
+`(cycle, discovery_score, found_at)`, is made by one f-string, its
+indents written out and its cycle encoded with one `str.join`, and each
+block of `_LOOP_BLOCK` loops is joined into one piece, so a writer makes
+one call per block, not per loop.  A loop the template does not fit
+goes through the generic writer as `loop_dict(*loop)`.
+`ranking_json_pieces` does the same for a ranking, one piece per loop:
+a loop's series are "0.0" but at the steps its active-step mask marks,
+the only ones that go through `float.__repr__`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _encode_str
 
 __all__ = ["catalog_json_pieces", "indented_json_pieces", "ranking_json_pieces"]
@@ -46,32 +48,41 @@ def indented_json_pieces(obj) -> list[str]:
 _LOOP_NEWLINE = "\n    "
 _NODE_SEP = ",\n        "
 _FOUND_AT = {int: int.__repr__, str: _encode_str}  # exact type -> writer; any other takes the generic writer
+_LOOP_BLOCK = 256  # loops per piece of a catalog
 
 
 def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
     """The text of ``indented_json_pieces({**head, "loops": [loop_dict(*loop)
-    for loop in loops]})`` in pieces, one per loop; each loop is a tuple
-    (cycle, discovery_score, found_at).  A loop whose cycle is a non-empty
-    sequence of str, whose discovery_score is a float and whose found_at is
-    an int or a str is written from one template; any other loop is written
-    as `loop_dict(*loop)` by the generic writer."""
+    for loop in loops]})`` in pieces, one per block of _LOOP_BLOCK loops
+    (the last block may be shorter); each loop is a tuple (cycle,
+    discovery_score, found_at).  A loop whose cycle is a non-empty sequence
+    of str, whose discovery_score is a finite float and whose found_at is an
+    int or a str is written from one template; any other loop is written as
+    `loop_dict(*loop)` by the generic writer, which raises ValueError on a
+    non-finite score."""
     if not loops:
         return indented_json_pieces({**head, "loops": []})
+    isfinite, write_float = math.isfinite, float.__repr__
     pieces = []
-    for cycle, score, found_at in loops:
-        found = _FOUND_AT.get(type(found_at))
-        try:
-            nodes = _NODE_SEP.join(map(_encode_str, cycle))
-        except TypeError:
-            nodes = ""
-        if nodes and found is not None and type(score) is float:
-            pieces.append(
-                f',{_LOOP_NEWLINE}{{\n      "cycle": [\n        {nodes}\n      ],\n      '
-                f'"discovery_score": {_float(score)},\n      "found_at": {found(found_at)}{_LOOP_NEWLINE}}}'
-            )
-        else:
-            pieces.append("," + _LOOP_NEWLINE + _encode(loop_dict(cycle, score, found_at), _LOOP_NEWLINE))
-    return _around_loops({**head, "loops": loops}, pieces)
+    rest = iter(loops)
+    while True:
+        block = []
+        for cycle, score, found_at in islice(rest, _LOOP_BLOCK):
+            found = _FOUND_AT.get(type(found_at))
+            try:
+                nodes = _NODE_SEP.join(map(_encode_str, cycle))
+            except TypeError:
+                nodes = ""
+            if nodes and found is not None and type(score) is float and isfinite(score):
+                block.append(
+                    f',{_LOOP_NEWLINE}{{\n      "cycle": [\n        {nodes}\n      ],\n      '
+                    f'"discovery_score": {write_float(score)},\n      "found_at": {found(found_at)}{_LOOP_NEWLINE}}}'
+                )
+            else:
+                block.append("," + _LOOP_NEWLINE + _encode(loop_dict(cycle, score, found_at), _LOOP_NEWLINE))
+        if not block:
+            return _around_loops({**head, "loops": loops}, pieces)
+        pieces.append("".join(block))
 
 
 _ENTRY_NEWLINE = "\n      "  # the line break and indent of a loop's fields

@@ -148,9 +148,10 @@ def _shares(steps: list[int], scores: list, totals: list):
 
 
 def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, list, list, list[float]]:
-    """The catalog's records, each loop's (mask, active steps, scores there),
-    the per-step catalog totals, and each loop's avg_contribution, in
-    catalog order.  Totals are summed over the active loops only, in
+    """The catalog's stored (cycle, discovery_score, found_at) tuples, each
+    loop's (mask, active steps, scores there), the per-step catalog totals,
+    and each loop's avg_contribution, in catalog order; no LoopRecord is
+    built.  Totals are summed over the active loops only, in
     catalog order from the int 0: an inactive loop would add 0.0, and
     x + 0.0 == x for x >= 0."""
     if series.n == 0:
@@ -158,9 +159,9 @@ def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, l
     columns = [column for _, _, column in series.numbering[1]]
     rows = list(zip(*columns))
     masks = [int.from_bytes(bytes(map(bool, column)), "little") for column in columns]
-    records = catalog.loops()
+    loops = list(catalog.entries())
     position = series.position
-    active = [_active_scores(rec.cycle, position, rows, masks) for rec in records]
+    active = [_active_scores(cycle, position, rows, masks) for cycle, _, _ in loops]
     totals = [0] * (series.n + 1)
     for _, steps, scores in active:
         for k, s in zip(steps, scores):
@@ -170,10 +171,11 @@ def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, l
         left_sum(islice(_shares(steps, scores, totals), 1 if steps and steps[0] == 0 else 0, None)) / series.n
         for _, steps, scores in active
     ]
-    return records, active, totals, avgs
+    return loops, active, totals, avgs
 
 
-def _profile(record: LoopRecord, active: tuple, totals: list, avg: float, n: int) -> LoopProfile:
+def _profile(loop: tuple, active: tuple, totals: list, avg: float, n: int) -> LoopProfile:
+    """The profile of a stored loop tuple, with a new LoopRecord of it."""
     mask, steps, scores = active
     score_series = [0.0] * (n + 1)
     relative = [0.0] * (n + 1)
@@ -182,7 +184,7 @@ def _profile(record: LoopRecord, active: tuple, totals: list, avg: float, n: int
         relative[k] = share
     # every other step holds 0.0, which classify_polarity passes over
     polarity, note = classify_polarity(scores)
-    return LoopProfile(record, score_series, relative, avg, polarity, note, mask)
+    return LoopProfile(LoopRecord(*loop), score_series, relative, avg, polarity, note, mask)
 
 
 def build_profiles(catalog: LoopCatalog, series: LinkScoreSeries) -> list[LoopProfile]:
@@ -191,8 +193,8 @@ def build_profiles(catalog: LoopCatalog, series: LinkScoreSeries) -> list[LoopPr
     active; the relative series divide its magnitudes by the per-step
     catalog total.  avg_contribution averages the relative series over
     steps 1..n, counting all-inactive steps as zero."""
-    records, active, totals, avgs = _score_loops(catalog, series)
-    return [_profile(rec, act, totals, avg, series.n) for rec, act, avg in zip(records, active, avgs)]
+    loops, active, totals, avgs = _score_loops(catalog, series)
+    return [_profile(loop, act, totals, avg, series.n) for loop, act, avg in zip(loops, active, avgs)]
 
 
 def rank_and_filter(
@@ -205,17 +207,18 @@ def rank_and_filter(
     cycle for determinism), dropping loops below `threshold` and keeping
     at most `top`.  A NaN average (a loop score that overflowed) ranks
     first and is never dropped, so it reaches the output and is reported.
-    Profiles are built only for the loops that are kept."""
+    Profiles, and their LoopRecords, are built only for the loops that
+    are kept."""
     if not 0.0 <= threshold < 1.0:
         raise ValueError("threshold must be in [0, 1)")
     if top is not None and top < 1:
         raise ValueError("top must be >= 1")
-    records, active, totals, avgs = _score_loops(catalog, series)
+    loops, active, totals, avgs = _score_loops(catalog, series)
     ranked = sorted(
-        range(len(records)), key=lambda i: (-math.inf if math.isnan(avgs[i]) else -avgs[i], records[i].cycle)
+        range(len(loops)), key=lambda i: (-math.inf if math.isnan(avgs[i]) else -avgs[i], loops[i][0])
     )
     kept = [i for i in ranked if not avgs[i] < threshold]
-    return [_profile(records[i], active[i], totals, avgs[i], series.n) for i in kept[:top]]
+    return [_profile(loops[i], active[i], totals, avgs[i], series.n) for i in kept[:top]]
 
 
 def _cyclic_overlap_ratio(a: Cycle, b: Cycle) -> float:
@@ -260,7 +263,7 @@ def compare_catalogs(
     if series is not None:
         top = [p.cycle for p in rank_and_filter(reference, series, top=max(count, 1))[:count]]
     else:  # over the stored (cycle, discovery_score, found_at) tuples: no record is built
-        loops = heapq.nsmallest(count, reference._records.values(), key=lambda loop: (-abs(loop[1]), loop[0]))
+        loops = heapq.nsmallest(count, reference.entries(), key=lambda loop: (-abs(loop[1]), loop[0]))
         top = [cycle for cycle, _, _ in loops]
     candidate_cycles = candidate.cycles()
     candidates_in_order = sorted(candidate_cycles)
@@ -274,7 +277,7 @@ def compare_catalogs(
         if ratio > 0.0 and ratio >= near_miss_ratio:
             near_misses.append({"reference_cycle": list(cycle), "candidate_cycle": list(best), "overlap": ratio})
     # both hold canonical cycles; the key view's & walks the smaller side and copies neither
-    intersection_size = len(reference._records.keys() & candidate_cycles)
+    intersection_size = len(reference.entries().mapping.keys() & candidate_cycles)
     return CompletenessReport(len(reference), len(candidate), intersection_size, top_loops, near_misses)
 
 

@@ -31,6 +31,7 @@ from .discovery import (
     LoopCatalog,
     MalformedCycleError,
     WeightedDigraph,
+    _gc_paused,
     discover,
     enumerate_loops,
     strongest_path_pass,
@@ -157,9 +158,9 @@ def _parse_edge_csv(text: str) -> list[tuple[str, str, float]]:
 
 def _load_catalog(path: str) -> LoopCatalog:
     """Read a catalog JSON file; content that is not a loop catalog is a
-    diagnostic naming the file.  from_json makes each loop a record as the
-    text is parsed, so a catalog is held as its text and its records, not
-    also as parsed dicts and lists."""
+    diagnostic naming the file.  from_json makes each loop its stored tuple
+    as the text is parsed, so a catalog is held as its text and its tuples,
+    not also as parsed dicts and lists."""
     try:
         return LoopCatalog.from_json(_read_text(path))
     except MalformedCycleError as err:
@@ -278,7 +279,7 @@ def cmd_compare(args) -> None:
         model = _load_model(args.model)
         names = set(model.names())
         for catalog, label in ((reference, "reference"), (candidate, "candidate")):
-            for cycle in catalog._records:  # the canonical cycles in catalog order, without building records
+            for cycle, _, _ in catalog.entries():  # catalog order, without building records
                 if missing := [v for v in cycle if v not in names]:
                     problem = f"{label} catalog references unknown variables: {', '.join(missing)}"
                     raise ModelError([Diagnostic(problem)])
@@ -345,24 +346,29 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        args.func(args)
-        return EXIT_OK
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ModelError as err:
-        for diag in err.diagnostics:
-            print(str(diag), file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except AnalysisError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    except (SimulationError, _RuntimeFailure) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+    """Run one command and return its exit code.  The cyclic garbage
+    collector is off while it runs and is left as it was found: the
+    command's catalogs, graphs and series hold no reference cycles, and
+    each collection would walk every object built so far."""
+    with _gc_paused():
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+            args.func(args)
+            return EXIT_OK
+        except _UsageError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        except ModelError as err:
+            for diag in err.diagnostics:
+                print(str(diag), file=sys.stderr)
+            return EXIT_DIAGNOSTICS
+        except AnalysisError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_DIAGNOSTICS
+        except (SimulationError, _RuntimeFailure) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

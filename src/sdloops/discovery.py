@@ -33,9 +33,9 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import islice, starmap
 from operator import getitem
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, ValuesView
 
 from ._graphutil import strongly_connected_components
 from ._jsonutil import catalog_json_pieces
@@ -159,6 +159,12 @@ class LoopCatalog:
         """A new LoopRecord for each loop, in catalog order."""
         return list(starmap(LoopRecord, self._records.values()))
 
+    def entries(self) -> ValuesView[tuple[Cycle, float, int | str]]:
+        """The stored `(cycle, discovery_score, found_at)` tuples in catalog
+        order, the fields of `loops()` without building a record: a
+        read-only view whose `.mapping` is keyed by canonical cycle."""
+        return self._records.values()
+
     def cycles(self) -> set[Cycle]:
         return set(self._records)
 
@@ -174,9 +180,10 @@ class LoopCatalog:
         return "".join(self.to_json_pieces())
 
     def to_json_pieces(self) -> list[str]:
-        """to_json's text in pieces, one per loop, each written straight
-        from its stored tuple, so the pieces are the only copy of the
-        document and no record is built."""
+        """to_json's text in pieces, one per block of loops (see
+        catalog_json_pieces), each loop written straight from its stored
+        tuple, so the pieces are the only copy of the document and no
+        record is built."""
         return catalog_json_pieces(self._head(), self._records.values(), _loop_json)
 
     def _head(self) -> dict:
@@ -318,7 +325,8 @@ def _gc_paused():
     """Keep the cyclic garbage collector off for a bulk build of many
     small objects that form no cycles, and restore its previous state.
     Left on, it walks every object built so far each time the young
-    generation fills."""
+    generation fills.  `cli.main` holds it for a whole command, and a
+    pause inside another leaves the collector off."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -384,7 +392,6 @@ def _circuits_through(adj: dict[str, dict[str, float]], start: str) -> Iterator[
     blocked_by: dict[str, set[str]] = {}
     stack = [iter(adj[start].items())]
     while stack:
-        advanced = False
         for w, weight in stack[-1]:
             if w == start:
                 yield tuple(path), prods[-1] * weight
@@ -395,25 +402,23 @@ def _circuits_through(adj: dict[str, dict[str, float]], start: str) -> Iterator[
                 closed.append(False)
                 blocked.add(w)
                 stack.append(iter(adj[w].items()))
-                advanced = True
                 break
-        if advanced:
-            continue
-        stack.pop()
-        v = path.pop()
-        prods.pop()
-        if closed.pop():
-            if closed:
-                closed[-1] = True
-            unblock = [v]
-            while unblock:
-                u = unblock.pop()
-                if u in blocked:
-                    blocked.discard(u)
-                    unblock.extend(blocked_by.pop(u, ()))
-        else:
-            for w in adj[v]:
-                blocked_by.setdefault(w, set()).add(v)
+        else:  # no successor left: step back from the path's last node
+            stack.pop()
+            v = path.pop()
+            prods.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                unblock = [v]
+                while unblock:
+                    u = unblock.pop()
+                    if u in blocked:
+                        blocked.discard(u)
+                        unblock.extend(blocked_by.pop(u, ()))
+            else:
+                for w in adj[v]:
+                    blocked_by.setdefault(w, set()).add(v)
 
 
 def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCatalog:
@@ -423,7 +428,8 @@ def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCa
     edge weights (1.0 on unweighted graphs), multiplied in the order of
     its canonical rotation.  The search carries that product along its
     path; a circuit it finds starting elsewhere than at its smallest node
-    is rotated and scored again."""
+    is rotated and scored again.  The search stops after `cap` circuits
+    and asks for one more to tell whether the listing overflowed."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if isinstance(graph, Digraph):
@@ -435,16 +441,15 @@ def enumerate_loops(graph: Digraph | WeightedDigraph, cap: int = 1000) -> LoopCa
     catalog = LoopCatalog(provenance="exhaustive")
     records = catalog._records
     with _gc_paused():
+        circuits = _elementary_circuits(graph.nodes, adj)
         # Johnson's search yields each circuit once: no lookup before storing
-        for cycle, score in _elementary_circuits(graph.nodes, adj):
-            if len(records) >= cap:
-                catalog.overflow = True
-                break
+        for cycle, score in islice(circuits, cap):
             if score is None:  # rotate to the canonical form and multiply in its order
                 pivot = cycle.index(min(cycle))
                 cycle = cycle[pivot:] + cycle[:pivot]
                 score = math.prod(map(getitem, map(adj.__getitem__, cycle), cycle[1:] + cycle[:1]))
             records[cycle] = (cycle, score, "static")
+        catalog.overflow = next(circuits, None) is not None
     return catalog
 
 
@@ -475,7 +480,10 @@ def strongest_path_pass(
     magnitudes: `abs(c * w) == abs(c) * abs(w)` bit for bit, because
     rounding to nearest is symmetric in sign.  The signed score is
     multiplied only where a node expands or a loop closes, and ids become
-    names only for `registry` and `on_visit`.
+    names only for `registry` and `on_visit`.  For its own search the
+    target's best is -1.0, below any magnitude, so the prune test comes
+    first for every edge and never drops an edge back to the target; the
+    target's best is 1.0 again once its search ends.
     """
     nodes, adj = graph.nodes, graph.adj
     if targets is None:
@@ -489,7 +497,7 @@ def strongest_path_pass(
     for target in starts:
         if 1.0 < best[target]:
             continue
-        best[target] = 1.0
+        best[target] = -1.0  # below any magnitude: an edge back to the target is never pruned
         visiting[target] = True
         path = [target]
         carried = [1.0]
@@ -502,11 +510,13 @@ def strongest_path_pass(
             reach = mags[-1]
             for w_mag, weight, node in stack[-1]:
                 mag = reach * w_mag
+                if mag < best[node]:  # most edges end here
+                    continue
                 if node == target:  # the target is on the path for its whole search
                     if mag != 0.0:
                         registry.add(tuple([nodes[i] for i in path]), carried[-1] * weight, found_at)
                     continue
-                if mag < best[node] or mag == 0.0 or visiting[node]:
+                if mag == 0.0 or visiting[node]:
                     continue
                 score = carried[-1] * weight
                 best[node] = mag
@@ -524,6 +534,7 @@ def strongest_path_pass(
                 visiting[path.pop()] = False
                 carried.pop()
                 mags.pop()
+        best[target] = 1.0
     return visits
 
 

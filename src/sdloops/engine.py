@@ -143,8 +143,8 @@ def _unrecorded():
     raise ValueError("no recorded branch for IF node")
 
 
-def _emitter(consts: list, ifs: list, ref, time: str, gate: str, literals: bool = False):
-    """A function giving the Python source of an expression tree.  A number
+def _sources(exprs: list, consts: list, ifs: list, ref, time: str, gate: str, literals: bool = False) -> list[str]:
+    """The Python source of each expression tree, in order.  A number
     is appended to `consts` and becomes c[i], its index there, unless
     `literals` is set and it is finite and unsigned: then it is its repr,
     which reads back as the same float.  A reference becomes ref(name) and
@@ -184,7 +184,9 @@ def _emitter(consts: list, ifs: list, ref, time: str, gate: str, literals: bool 
             raise TypeError(f"not an expression node: {node!r}")
         return code if prec >= level else f"({code})"
 
-    return emit
+    sources = [emit(expr) for expr in exprs]
+    del emit  # it holds itself through its closure cell: a reference cycle
+    return sources
 
 
 def compile_expr(expr, column: bool = False):
@@ -197,7 +199,7 @@ def compile_expr(expr, column: bool = False):
     returns [EXPR for j in J], where a name reads its column at j, TIME
     reads T[j] and each IF takes its slot's branch at j, never evaluating
     its condition; a branch of None raises ValueError.  `simulate`'s run
-    function inlines every equation through the same emitter (_emitter).
+    function inlines every equation through the same emitter (_sources).
     Names reach generated source only as repr'd strings or numbered
     locals, numbers through a constants tuple or as the repr of a float,
     operators and functions through fixed tables.
@@ -207,11 +209,11 @@ def compile_expr(expr, column: bool = False):
     if column:
         refs: dict[str, str] = {}  # name -> parameter, by first occurrence, as expr_refs orders them
         gate = "{then} if b{slot}[j] else _unrecorded() if b{slot}[j] is None else {orelse}"
-        body = _emitter(consts, ifs, lambda name: f"{refs.setdefault(name, f'r{len(refs)}')}[j]", "T[j]", gate)(expr)
+        [body] = _sources([expr], consts, ifs, lambda name: f"{refs.setdefault(name, f'r{len(refs)}')}[j]", "T[j]", gate)
         params = ", ".join(["T, dt, J", *refs.values(), *(f"b{slot}" for slot in range(len(ifs)))])
         source = f"lambda {params}: [{body} for j in J]"
     else:
-        body = _emitter(consts, ifs, lambda name: f"v[{name!r}]", "t", "{then} if _take(b, {slot}, {cond} != 0.0) else {orelse}")(expr)
+        [body] = _sources([expr], consts, ifs, lambda name: f"v[{name!r}]", "t", "{then} if _take(b, {slot}, {cond} != 0.0) else {orelse}")
         source = f"lambda v, t, dt, b: {body}"
     return eval(compile(source, "<sdloops equation>", "eval"), {"c": tuple(consts), "_take": _take, "_unrecorded": _unrecorded})
 
@@ -261,11 +263,12 @@ def _run_source(model: Model, equations: list[Variable], consts: list) -> str:
     index = {v.name: f"{i}" for i, v in enumerate(model.variables)}
     stocks = model.by_kind("stock")
     ifs: list[If] = []
-    emit = _emitter(consts, ifs, lambda name: f"x{index[name]}", "t", "{then} if _take(b{slot}, k, {cond} != 0.0) else {orelse}", True)
+    gate = "{then} if _take(b{slot}, k, {cond} != 0.0) else {orelse}"
+    sources = _sources([v.expr for v in equations], consts, ifs, lambda name: f"x{index[name]}", "t", gate, True)
     body = []
-    for v in equations:
+    for v, source in zip(equations, sources):
         i = index[v.name]
-        body += [f"x{i} = {emit(v.expr)}", f"if x{i} - x{i}: break", f"X{i}[k] = x{i}"]
+        body += [f"x{i} = {source}", f"if x{i} - x{i}: break", f"X{i}[k] = x{i}"]
     body += ["if k < n:"] if stocks else []
     for s in stocks:
         i = index[s.name]

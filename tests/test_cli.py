@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -859,3 +860,89 @@ class TestUsage:
         assert main(["analyze", armsrace_path, "--out", str(out1)]) == 0
         assert main(["analyze", armsrace_path, "--out", str(out2)]) == 0
         assert out1.read_text(encoding="utf-8") == out2.read_text(encoding="utf-8")
+
+
+class TestCollectorPaused:
+    """main runs each command with the cyclic collector off and leaves it
+    as it found it."""
+
+    @pytest.fixture()
+    def gc_state(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "rows, argv, code",
+        [
+            ("a,b,1\nb,a,2\n", [], 0),
+            ("a,b,1\nb,a,2\n", ["--cap", "0"], 1),
+            ("a,b\n", [], 2),
+            ("a,b,1e200\nb,a,1e200\n", [], 3),  # a product that overflows: JSON has no Infinity
+        ],
+    )
+    def test_state_is_restored_for_every_exit_code(self, rows, argv, code, enabled, gc_state, tmp_path, capsys):
+        path = tmp_path / "edges.csv"
+        path.write_text(rows, encoding="utf-8")
+        (gc.enable if enabled else gc.disable)()
+        assert main(["graph-loops", str(path), *argv]) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_when_an_exception_escapes(self, enabled, gc_state, monkeypatch):
+        seen = []
+
+        def fail(args):
+            seen.append(gc.isenabled())
+            raise KeyError("escapes")
+
+        monkeypatch.setattr(sl.cli, "cmd_gen", fail)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(KeyError):
+            main(["gen", "--stocks", "2"])
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_inside_a_listing_and_a_compare(self, gc_state, monkeypatch, tmp_path):
+        """Left on, the collector walked the catalog's tuples whenever
+        the young generation filled while a command built or read them.
+        Paused, it runs once as main switches it back on, after the
+        command has let go of its data, so the window is the command."""
+        names = [f"n{i}" for i in range(8)]  # 16,064 circuits
+        rows = [f"{a},{b},{0.1 + 0.01 * (i * 8 + j)!r}" for i, a in enumerate(names) for j, b in enumerate(names) if a != b]
+        edges, catalog = tmp_path / "edges.csv", tmp_path / "catalog.json"
+        edges.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        commands = [
+            ["graph-loops", str(edges), "--cap", "5000", "--out", str(catalog)],
+            ["compare", str(catalog), str(catalog), "--out", str(tmp_path / "report.json")],
+        ]
+        inside, collections = [], []
+
+        def count(phase, info):
+            if phase == "start" and inside:
+                collections.append((inside[0], info["generation"]))
+
+        def marked(name, command):
+            def run(args):
+                inside.append(name)
+                try:
+                    command(args)
+                finally:
+                    inside.clear()
+
+            return run
+
+        for name in ("cmd_graph_loops", "cmd_compare"):
+            monkeypatch.setattr(sl.cli, name, marked(name, getattr(sl.cli, name)))
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            for argv in commands:
+                gc.collect()  # each command starts with an empty young generation
+                assert main(argv) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == []
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["intersection_size"] == 5000

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference
 import sdloops as sl
 from reference import _enumerate_with_cycle_score, _reference_sweep, cycle_score
+from sdloops._jsonutil import _LOOP_BLOCK
 from sdloops.discovery import (
     LoopCatalog,
     LoopRecord,
@@ -120,6 +121,20 @@ class TestEnumerate:
         assert capped.overflow
         assert len(capped) == 10
         assert capped.cycles() <= full.cycles()
+
+    @pytest.mark.parametrize("self_loops", [(), ("n0", "n2")])
+    def test_cap_boundary(self, self_loops):
+        """At a cap of exactly the circuit count nothing overflows; one
+        below, the listing is the first cap circuits in the same order."""
+        rows = [(f"n{i}", f"n{j}", 0.5 + 0.1 * i - 0.05 * j) for i in range(4) for j in range(4) if i != j]
+        g = WeightedDigraph.from_edges(rows + [(v, v, -2.0) for v in self_loops])
+        n = 20 + len(self_loops)  # the complete 4-node digraph has 6 + 8 + 6 circuits
+        assert sum(1 for _ in _elementary_circuits(g.nodes, {v: dict(g.out[v]) for v in g.nodes})) == n
+        full = enumerate_loops(g, cap=n)
+        assert not full.overflow and len(full) == n
+        capped = enumerate_loops(g, cap=n - 1)
+        assert capped.overflow and len(capped) == n - 1
+        assert list(capped.entries()) == list(full.entries())[: n - 1]
 
     def test_zero_weight_edges_excluded(self):
         g = WeightedDigraph.from_edges([("a", "b", 1.0), ("b", "a", 0.0)])
@@ -592,10 +607,26 @@ class TestCatalogJson:
         with pytest.raises(MalformedCycleError, match="found_at True is not a step or a string"):
             LoopCatalog.from_json(text)
 
+    @pytest.mark.parametrize("size", [0, 1, _LOOP_BLOCK - 1, _LOOP_BLOCK, _LOOP_BLOCK + 1, 2 * _LOOP_BLOCK + 1])
+    def test_blocks_of_loops_join_to_the_text_of_json_dumps(self, size):
+        """One piece per block of loops, whatever the block boundaries;
+        the second loop has an int score, which the template does not fit."""
+        catalog = LoopCatalog(overflow=True)
+        for i in range(size):
+            score = 3 if i == 1 else (-1) ** i * 0.1 * (i + 1)
+            catalog.add((f"n{i:04d}", "\u00e9", "a"), score, i if i % 3 else "static")
+        pieces = catalog.to_json_pieces()
+        assert "".join(pieces) == json.dumps(reference.catalog_to_json_dict(catalog), indent=2)
+        assert sum('"cycle"' in piece for piece in pieces) == -(-size // _LOOP_BLOCK)
+
+    @pytest.mark.parametrize(
+        "size, at", [(1, 0), (2 * _LOOP_BLOCK + 1, _LOOP_BLOCK - 1), (2 * _LOOP_BLOCK + 1, _LOOP_BLOCK), (2 * _LOOP_BLOCK + 1, 2 * _LOOP_BLOCK)]
+    )
     @pytest.mark.parametrize("score", [math.inf, -math.inf, math.nan])
-    def test_non_finite_score_is_not_written(self, score):
+    def test_non_finite_score_is_not_written(self, size, at, score):
         catalog = LoopCatalog()
-        catalog.add(("a", "b"), score, "static")
+        for i in range(size):
+            catalog.add(("a", f"n{i:04d}"), score if i == at else 1.5, "static")
         with pytest.raises(ValueError):
             catalog.to_json()
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import struct
 
 import pytest
@@ -581,3 +582,20 @@ def test_long_aux_chain_matches_reference():
     chain = "".join(f"AUX a_{i} = a_{i - 1} * 0.999 + 0.001\n" for i in range(1, 3001))
     text = "SPEC START = 0 STOP = 3 DT = 1\nSTOCK a_0 = 1 { inflow: f }\nFLOW f = 0.01 * a_3000\n" + chain
     assert _matches_reference(text)[0] == "run"
+
+
+def test_simulating_and_scoring_leave_no_reference_cycle():
+    """The CLI runs each command with the cyclic collector off, so a cycle
+    made while compiling equations would stay until the command ends."""
+    model = sl.parse_model(_RAMP + "AUX a = IF s > 2 THEN (IF s > 4 THEN 1 ELSE 2) ELSE MIN(s, 3)\n")
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        sl.score_all(model, sl.simulate(model))
+        compile_expr(model.variable("a").expr)
+        found = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert found == 0
