@@ -11,25 +11,41 @@ encodes strings with the C function `encode_basestring_ascii`, and turns
 a list of only str or only float items into text with one `str.join`
 over a `map`.
 
-`catalog_json_pieces(head, loops, loop_dict)` is the same text for a loop
+`iter_catalog_json(head, loops, loop_dict)` is the same text for a loop
 catalog, the program's largest document: each loop, a tuple
 `(cycle, discovery_score, found_at)`, is made by one f-string, its
 indents written out and its cycle encoded with one `str.join`, and each
 block of `_LOOP_BLOCK` loops is joined into one piece, so a writer makes
 one call per block, not per loop.  A loop the template does not fit
 goes through the generic writer as `loop_dict(*loop)`.
-`ranking_json_pieces` does the same for a ranking, one piece per loop:
+`iter_ranking_json` does the same for a ranking, one piece per loop:
 a loop's series are "0.0" but at the steps its active-step mask marks,
 the only ones that go through `float.__repr__`.
+
+Both are checked, then written as they are rendered: before its first
+piece each generator checks its document for NaN and infinities, in
+document order (a list whose `sum` is finite needs no closer look), and
+raises the writer's ValueError for the first, so a caller that has its
+first piece can open its output and write each piece as it comes,
+without holding the document.  `catalog_json_pieces` and
+`ranking_json_pieces` are their pieces as a list.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 
-__all__ = ["catalog_json_pieces", "indented_json_pieces", "ranking_json_pieces"]
+__all__ = [
+    "catalog_json_pieces",
+    "indented_json_pieces",
+    "iter_catalog_json",
+    "iter_ranking_json",
+    "ranking_json_pieces",
+]
 
 _INDENT = "  "
 
@@ -52,18 +68,41 @@ _LOOP_BLOCK = 256  # loops per piece of a catalog
 
 
 def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
+    """The pieces of iter_catalog_json as a list."""
+    return list(iter_catalog_json(head, loops, loop_dict))
+
+
+def iter_catalog_json(head: dict, loops, loop_dict) -> Iterator[str]:
     """The text of ``indented_json_pieces({**head, "loops": [loop_dict(*loop)
     for loop in loops]})`` in pieces, one per block of _LOOP_BLOCK loops
     (the last block may be shorter); each loop is a tuple (cycle,
-    discovery_score, found_at).  A loop whose cycle is a non-empty sequence
-    of str, whose discovery_score is a finite float and whose found_at is an
-    int or a str is written from one template; any other loop is written as
-    `loop_dict(*loop)` by the generic writer, which raises ValueError on a
-    non-finite score."""
+    discovery_score, found_at), and `loops` a sized collection, read twice.
+
+    Before the first piece, the document is checked: if the scores do not
+    sum to a finite number, every loop is checked in order, and the first
+    NaN or infinity raises the writer's ValueError.  A loop's cycle and
+    found_at are trusted to be of their documented types (str nodes, an
+    int or a str) when every score is finite.  Then a loop whose cycle is
+    a non-empty sequence of str, whose discovery_score is a float and whose
+    found_at is an int or a str is written from one template; any other
+    loop is written as `loop_dict(*loop)` by the generic writer."""
     if not loops:
-        return indented_json_pieces({**head, "loops": []})
-    isfinite, write_float = math.isfinite, float.__repr__
-    pieces = []
+        yield from indented_json_pieces({**head, "loops": []})
+        return
+    _check(head)
+    try:
+        finite = math.isfinite(sum(map(itemgetter(1), loops)))
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        for loop in loops:
+            _check(loop_dict(*loop))
+    yield from _around_loops({**head, "loops": loops}, _catalog_blocks(loops, loop_dict))
+
+
+def _catalog_blocks(loops, loop_dict) -> Iterator[str]:
+    """The checked loops as text, one string per block of _LOOP_BLOCK loops."""
+    write_float = float.__repr__
     rest = iter(loops)
     while True:
         block = []
@@ -73,7 +112,7 @@ def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
                 nodes = _NODE_SEP.join(map(_encode_str, cycle))
             except TypeError:
                 nodes = ""
-            if nodes and found is not None and type(score) is float and isfinite(score):
+            if nodes and found is not None and type(score) is float:
                 block.append(
                     f',{_LOOP_NEWLINE}{{\n      "cycle": [\n        {nodes}\n      ],\n      '
                     f'"discovery_score": {write_float(score)},\n      "found_at": {found(found_at)}{_LOOP_NEWLINE}}}'
@@ -81,8 +120,8 @@ def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
             else:
                 block.append("," + _LOOP_NEWLINE + _encode(loop_dict(cycle, score, found_at), _LOOP_NEWLINE))
         if not block:
-            return _around_loops({**head, "loops": loops}, pieces)
-        pieces.append("".join(block))
+            return
+        yield "".join(block)
 
 
 _ENTRY_NEWLINE = "\n      "  # the line break and indent of a loop's fields
@@ -90,56 +129,101 @@ _SERIES = ("score_series", "relative_series")  # the lists that a loop's mask de
 
 
 def ranking_json_pieces(ranking: dict, masks) -> list[str]:
+    """The pieces of iter_ranking_json as a list."""
+    return list(iter_ranking_json(ranking, masks))
+
+
+def iter_ranking_json(ranking: dict, masks) -> Iterator[str]:
     """The text of ``indented_json_pieces(ranking)`` in pieces, one per
     loop.  masks[i] is None or the active-step mask of ranking["loops"][i]
     (`LoopProfile.active`): a byte per step, 0 where both its series hold
-    0.0.  A loop with a mask is one f-string whose series are written from
-    the mask; a loop without one is written by the generic writer."""
-    if not ranking["loops"]:
-        return indented_json_pieces(ranking)
-    pieces = []
-    for entry, mask in zip(ranking["loops"], masks, strict=True):
-        if mask is None or type(entry) is not dict or not entry:
-            pieces.append("," + _LOOP_NEWLINE + _encode(entry, _LOOP_NEWLINE))
-            continue
-        n, steps = len(mask), list(compress(range(len(mask)), mask))
-        fields = (
-            _encode_str(key) + ": " + (_masked(v, steps, n) if key in _SERIES else _encode(v, _ENTRY_NEWLINE))
-            for key, v in entry.items()
-        )
-        pieces.append(f",{_LOOP_NEWLINE}{{{_ENTRY_NEWLINE}{(',' + _ENTRY_NEWLINE).join(fields)}{_LOOP_NEWLINE}}}")
-    return _around_loops(ranking, pieces)
+    0.0.  Before the first piece, the whole document is checked, and its
+    first NaN or infinity raises the writer's ValueError.  Then a loop
+    with a mask is one f-string whose series are written from the mask; a
+    loop without one is written by the generic writer."""
+    loops = ranking["loops"]
+    if not loops:
+        yield from indented_json_pieces(ranking)
+        return
+    if len(masks) != len(loops):
+        raise ValueError(f"{len(masks)} masks for {len(loops)} loops")
+    _check(ranking)
+    yield from _around_loops(ranking, map(_ranking_loop, loops, masks))
 
 
-def _masked(values, steps: list[int], n: int) -> str:
-    """A series of n floats, 0.0 outside `steps`, as the generic writer
-    writes it, with float.__repr__ only at `steps`.  A series of another
-    length, or a non-float at one of the steps, takes the generic writer."""
+def _ranking_loop(entry, mask: bytes | None) -> str:
+    """One checked loop of a ranking, after its comma and line break."""
+    if mask is None or type(entry) is not dict or not entry:
+        return "," + _LOOP_NEWLINE + _encode(entry, _LOOP_NEWLINE)
+    fields = (
+        _encode_str(key) + ": " + (_masked(v, mask) if key in _SERIES else _encode(v, _ENTRY_NEWLINE))
+        for key, v in entry.items()
+    )
+    return f",{_LOOP_NEWLINE}{{{_ENTRY_NEWLINE}{(',' + _ENTRY_NEWLINE).join(fields)}{_LOOP_NEWLINE}}}"
+
+
+def _masked(values, mask: bytes) -> str:
+    """A checked series, 0.0 where `mask` holds 0, as the generic writer
+    writes it, with float.__repr__ only where the mask holds 1.  A series
+    whose length is not the mask's, an empty one, or one with a non-float
+    where the mask holds 1 takes the generic writer."""
+    n = len(mask)
     if type(values) is list and len(values) == n > 0:
         text = ["0.0"] * n
         try:
-            for k, r in zip(steps, map(float.__repr__, map(values.__getitem__, steps))):
+            for k, r in zip(compress(range(n), mask), map(float.__repr__, compress(values, mask))):
                 text[k] = r
         except TypeError:
             return _encode(values, _ENTRY_NEWLINE)
-        body = _NODE_SEP.join(text)
-        if "n" in body:  # "nan", "inf" or "-inf"
-            for k in steps:
-                _float(values[k])
-        return f"[{_NODE_SEP[1:]}{body}{_ENTRY_NEWLINE}]"
+        return f"[{_NODE_SEP[1:]}{_NODE_SEP.join(text)}{_ENTRY_NEWLINE}]"
     return _encode(values, _ENTRY_NEWLINE)
 
 
-def _around_loops(doc: dict, loops: list[str]) -> list[str]:
+def _around_loops(doc: dict, loops: Iterator[str]) -> Iterator[str]:
     """indented_json_pieces(doc), where doc["loops"] is a non-empty list
-    written as `loops`: a piece per item, each after its comma and line break."""
+    written as the pieces of `loops`, each after its comma and line break."""
     items = list(doc.items())
     at = list(doc).index("loops")
-    pieces = indented_json_pieces(dict(items[:at], loops=[]))[:-3]  # less "[]" and the closing "\n", "}"
-    pieces += ("[", loops[0][1:], *loops[1:], "\n  ]")  # no comma before the first loop
+    yield from indented_json_pieces(dict(items[:at], loops=[]))[:-3]  # less "[]" and the closing "\n", "}"
+    yield "["
+    yield next(loops)[1:]  # no comma before the first loop
+    yield from loops
+    yield "\n  ]"
     tail = indented_json_pieces(dict(items[at + 1 :]))
     tail[:1] = [","] if len(tail) > 1 else ["\n}"]  # in place of the tail's own "{", or of its "{}"
-    return pieces + tail
+    yield from tail
+
+
+_PLAIN = frozenset({str, int, bool, type(None)})  # exact types that hold no float
+
+
+def _check(obj) -> None:
+    """Raise the writer's ValueError for the first NaN or infinity in obj,
+    in document order.  A list or tuple that joins as str, or whose sum is
+    finite, holds none, so only another one is checked item by item."""
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        try:
+            if obj and type(obj[0]) is str:
+                "".join(obj)
+                return
+            if math.isfinite(sum(obj)):
+                return
+        except (TypeError, OverflowError):  # not all str or all numbers, or an int too large for a float
+            pass
+        items = obj
+    else:
+        if isinstance(obj, float):
+            _float(obj)
+        return
+    for item in items:
+        kind = type(item)
+        if kind is float:
+            if not math.isfinite(item):
+                _float(item)
+        elif kind not in _PLAIN:
+            _check(item)
 
 
 def _float(x: float) -> str:

@@ -119,11 +119,13 @@ def classify_polarity(score_series: list[float]) -> tuple[str, str | None]:
     return "mixed", None
 
 
-def _active_scores(cycle: Cycle, position: dict, rows: list, masks: list[int]) -> tuple[bytes, list[int], list]:
+def _active_scores(cycle: Cycle, position: dict, rows: list, masks: list[int]) -> tuple[bytes, list]:
     """The loop's active-step mask (byte k is 1 where every edge of the
-    loop is nonzero at step k), those steps, and the loop's score at each:
-    the product of the same tuple `loop_score_series` multiplies, so the
-    same bits.  The loop's score is 0.0 at every other step.  `position`
+    loop is nonzero at step k) and the loop's score at each active step,
+    in step order: the product of the same tuple `loop_score_series`
+    multiplies, so the same bits.  The loop's score is 0.0 at every other
+    step; `compress(range(len(mask)), mask)` recovers the active steps
+    wherever they are needed, so no list of them is kept.  `position`
     maps an edge to its place in the series' numbering, `rows[k]` holds
     every edge's score at step k, and byte k of `masks[i]` is 1 where edge
     i's score at step k is nonzero (so -0.0 counts as zero, as it does in
@@ -135,21 +137,20 @@ def _active_scores(cycle: Cycle, position: dict, rows: list, masks: list[int]) -
             raise AnalysisError(f"loop edge {edge[0]} -> {edge[1]} is not in the score series")
         ids.append(i)
     active = reduce(and_, map(masks.__getitem__, ids)).to_bytes(len(rows), "little")
-    steps = list(compress(range(len(rows)), active))
     # itemgetter of one index returns the item itself; of a slice, a 1-tuple
     get = itemgetter(*ids) if len(ids) > 1 else itemgetter(slice(ids[0], ids[0] + 1))
-    return active, steps, list(map(math.prod, map(get, map(rows.__getitem__, steps))))
+    return active, list(map(math.prod, map(get, compress(rows, active))))
 
 
-def _shares(steps: list[int], scores: list, totals: list):
+def _shares(mask: bytes, scores: list, totals: list):
     """A loop's relative scores at its active steps."""
     # a product that underflows to +-0.0 at an active step can meet a total of 0
-    return (abs(s) / t if t > 0.0 else 0.0 for s, t in zip(scores, map(totals.__getitem__, steps)))
+    return (abs(s) / t if t > 0.0 else 0.0 for s, t in zip(scores, compress(totals, mask)))
 
 
 def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, list, list, list[float]]:
     """The catalog's stored (cycle, discovery_score, found_at) tuples, each
-    loop's (mask, active steps, scores there), the per-step catalog totals,
+    loop's (active-step mask, scores there), the per-step catalog totals,
     and each loop's avg_contribution, in catalog order; no LoopRecord is
     built.  Totals are summed over the active loops only, in
     catalog order from the int 0: an inactive loop would add 0.0, and
@@ -163,23 +164,21 @@ def _score_loops(catalog: LoopCatalog, series: LinkScoreSeries) -> tuple[list, l
     position = series.position
     active = [_active_scores(cycle, position, rows, masks) for cycle, _, _ in loops]
     totals = [0] * (series.n + 1)
-    for _, steps, scores in active:
-        for k, s in zip(steps, scores):
+    steps = range(series.n + 1)
+    for mask, scores in active:
+        for k, s in zip(compress(steps, mask), scores):
             totals[k] = totals[k] + abs(s)
     # step 0 is not in the average
-    avgs = [
-        left_sum(islice(_shares(steps, scores, totals), 1 if steps and steps[0] == 0 else 0, None)) / series.n
-        for _, steps, scores in active
-    ]
+    avgs = [left_sum(islice(_shares(mask, scores, totals), mask[0], None)) / series.n for mask, scores in active]
     return loops, active, totals, avgs
 
 
 def _profile(loop: tuple, active: tuple, totals: list, avg: float, n: int) -> LoopProfile:
     """The profile of a stored loop tuple, with a new LoopRecord of it."""
-    mask, steps, scores = active
+    mask, scores = active
     score_series = [0.0] * (n + 1)
     relative = [0.0] * (n + 1)
-    for k, s, share in zip(steps, scores, _shares(steps, scores, totals)):
+    for k, s, share in zip(compress(range(n + 1), mask), scores, _shares(mask, scores, totals)):
         score_series[k] = s
         relative[k] = share
     # every other step holds 0.0, which classify_polarity passes over

@@ -6,6 +6,10 @@ diagnostics (parse/validate failures, malformed or non-UTF-8 input
 files), 3 runtime failure (aborted simulation, exhausted loop cap in
 forced exhaustive mode, a non-finite number in JSON output).
 All commands are deterministic for identical inputs and flags.
+
+A JSON document is checked for NaN and infinities before its output is
+opened, then written piece by piece as it is rendered, so a failed
+check writes nothing and no document is held whole in memory.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ import json  # noqa: F401  (unused here; bench/tracing.py rebinds sdloops.cli.js
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
-from ._jsonutil import indented_json_pieces, ranking_json_pieces
+from ._jsonutil import indented_json_pieces, iter_ranking_json
 from .analysis import (
     AnalysisError,
     compare_catalogs,
@@ -75,8 +81,10 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {err.strerror}") from None
 
 
-def _emit(path: str | None, pieces: list[str]) -> None:
-    """Write the pieces to the file at `path`, or to standard output; failing to is a usage error."""
+def _emit(path: str | None, pieces: Iterable[str]) -> None:
+    """Write each piece as it comes to the file at `path`, opened first, or
+    to standard output; failing to is a usage error.  A JSON document
+    comes through _json_pieces, which has checked it by then."""
     try:
         if path:
             with open(path, "w", encoding="utf-8") as f:
@@ -93,15 +101,17 @@ def _emit(path: str | None, pieces: list[str]) -> None:
         raise _UsageError(f"cannot write {path or 'standard output'}: {err.strerror}") from None
 
 
-def _json_pieces(render) -> list[str]:
-    """`render()`'s JSON pieces (indented_json_pieces, strict) and a final line
-    break, all rendered before anything is written: NaN or Infinity is a runtime failure that writes nothing."""
+def _json_pieces(render) -> Iterator[str]:
+    """`render()`'s JSON pieces and a final line break, for _emit.  The
+    writers of `_jsonutil` check the whole document before they yield its
+    first piece, and that piece is taken here, before the output is opened:
+    NaN or Infinity is a runtime failure that writes nothing."""
     try:
-        pieces = render()
+        pieces = iter(render())
+        first = next(pieces)
     except ValueError as err:
         raise _RuntimeFailure(f"non-finite number in JSON output ({err})") from None
-    pieces.append("\n")
-    return pieces
+    return chain((first,), pieces, ("\n",))
 
 
 def _load_model(path: str):
@@ -212,8 +222,7 @@ def cmd_analyze(args) -> None:
             os.remove(os.path.realpath(path))
 
     model = _load_model(args.model)
-    run = simulate(model, _run_spec(model, args))
-    series = score_all(model, run)
+    series = score_all(model, simulate(model, _run_spec(model, args)))  # the run is freed once scored
     catalog = discover(model, series, cap=cap, stride=stride, method=args.method)
     if args.method == "exhaustive" and catalog.overflow:
         raise _RuntimeFailure(f"cap exceeded; {len(catalog)} loops found before truncation")
@@ -230,9 +239,9 @@ def cmd_analyze(args) -> None:
         "loops_after_filter": len(profiles),
     }
     ranking = ranking_to_json_dict(profiles, catalog, metadata)
-    _emit(args.out, _json_pieces(lambda: ranking_json_pieces(ranking, [p.active for p in profiles])))
+    _emit(args.out, _json_pieces(lambda: iter_ranking_json(ranking, [p.active for p in profiles])))
     if args.csv:
-        _emit(args.csv, profiles_to_csv(profiles, run.times))
+        _emit(args.csv, profiles_to_csv(profiles, series.times))
     if args.links_csv:
         _emit(args.links_csv, series_to_csv(series))
 
@@ -256,7 +265,7 @@ def cmd_graph_loops(args) -> None:
         catalog = LoopCatalog(provenance="strongest-path")
         targets = None if args.start == "all" else [args.start]
         strongest_path_pass(graph, catalog, targets=targets)
-    _emit(args.out, _json_pieces(catalog.to_json_pieces))
+    _emit(args.out, _json_pieces(catalog.iter_json))
 
 
 def cmd_gen(args) -> None:
@@ -283,8 +292,7 @@ def cmd_compare(args) -> None:
                 if missing := [v for v in cycle if v not in names]:
                     problem = f"{label} catalog references unknown variables: {', '.join(missing)}"
                     raise ModelError([Diagnostic(problem)])
-        run = simulate(model)
-        series = score_all(model, run)
+        series = score_all(model, simulate(model))
     report = compare_catalogs(
         reference, candidate, series, top_n=args.top, near_miss_ratio=args.near_miss_ratio
     )

@@ -38,7 +38,7 @@ from operator import getitem
 from typing import Callable, Iterable, Iterator, ValuesView
 
 from ._graphutil import strongly_connected_components
-from ._jsonutil import catalog_json_pieces
+from ._jsonutil import iter_catalog_json
 from .dsl import Digraph, Model
 from .scoring import LinkScoreSeries, composite_scores
 
@@ -177,14 +177,18 @@ class LoopCatalog:
     def to_json(self) -> str:
         """Strict JSON with a two-space indent; NaN or an infinite score
         raises ValueError."""
-        return "".join(self.to_json_pieces())
+        return "".join(self.iter_json())
 
     def to_json_pieces(self) -> list[str]:
+        """The pieces of iter_json as a list."""
+        return list(self.iter_json())
+
+    def iter_json(self) -> Iterator[str]:
         """to_json's text in pieces, one per block of loops (see
-        catalog_json_pieces), each loop written straight from its stored
-        tuple, so the pieces are the only copy of the document and no
-        record is built."""
-        return catalog_json_pieces(self._head(), self._records.values(), _loop_json)
+        iter_catalog_json), each loop written straight from its stored
+        tuple, so no record is built.  The catalog is checked before the
+        first piece, and each block is rendered when it is asked for."""
+        return iter_catalog_json(self._head(), self._records.values(), _loop_json)
 
     def _head(self) -> dict:
         return {"provenance": self.provenance, "overflow": self.overflow}

@@ -201,7 +201,8 @@ def compile_expr(expr, column: bool = False):
     its condition; a branch of None raises ValueError.  `simulate`'s run
     function inlines every equation through the same emitter (_sources).
     Names reach generated source only as repr'd strings or numbered
-    locals, numbers through a constants tuple or as the repr of a float,
+    locals, numbers through a constants tuple or, in the column form and
+    the run function, a finite unsigned number as the repr of its float;
     operators and functions through fixed tables.
     """
     consts: list[float] = []
@@ -209,7 +210,7 @@ def compile_expr(expr, column: bool = False):
     if column:
         refs: dict[str, str] = {}  # name -> parameter, by first occurrence, as expr_refs orders them
         gate = "{then} if b{slot}[j] else _unrecorded() if b{slot}[j] is None else {orelse}"
-        [body] = _sources([expr], consts, ifs, lambda name: f"{refs.setdefault(name, f'r{len(refs)}')}[j]", "T[j]", gate)
+        [body] = _sources([expr], consts, ifs, lambda name: f"{refs.setdefault(name, f'r{len(refs)}')}[j]", "T[j]", gate, literals=True)
         params = ", ".join(["T, dt, J", *refs.values(), *(f"b{slot}" for slot in range(len(ifs)))])
         source = f"lambda {params}: [{body} for j in J]"
     else:

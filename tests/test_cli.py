@@ -406,6 +406,24 @@ class TestGraphLoops:
         assert not out.exists()
         assert "non-finite number in JSON output" in captured.err
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_overflowing_score_of_the_last_loop_writes_nothing(self, to_file, tmp_path, capsys):
+        """513 loops through a hub, more than two blocks of the catalog
+        writer: only the last one listed overflows, the one whose first edge
+        is the hub's weakest."""
+        path = tmp_path / "edges.csv"
+        rows = [f"hub,x{i:03d},1\nx{i:03d},hub,1\n" for i in range(512)]
+        path.write_text("".join(rows) + "hub,x512,0.5\nx512,y,1e300\ny,hub,1e300\n", encoding="utf-8")
+        out = tmp_path / "loops.json"
+        out.write_bytes(b"old bytes")
+        assert main(["graph-loops", str(path), "--cap", "513"] + (["--out", str(out)] if to_file else [])) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert out.read_bytes() == b"old bytes"
+        assert captured.err == "error: non-finite number in JSON output (Out of range float values are not JSON compliant: inf)\n"
+        assert main(["graph-loops", str(path), "--cap", "512"]) == 0  # the loops before it are written
+        assert len(json.loads(capsys.readouterr().out)["loops"]) == 512
+
     @settings(max_examples=40, deadline=None)
     @given(st.binary(max_size=64), st.sampled_from(["exhaustive", "strongest-path"]))
     def test_overflowing_loop_score_keeps_an_existing_file(self, old, method):

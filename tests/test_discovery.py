@@ -627,8 +627,12 @@ class TestCatalogJson:
         catalog = LoopCatalog()
         for i in range(size):
             catalog.add(("a", f"n{i:04d}"), score if i == at else 1.5, "static")
+        with pytest.raises(ValueError) as expected:
+            json.dumps(reference.catalog_to_json_dict(catalog), indent=2, allow_nan=False)
         with pytest.raises(ValueError):
             catalog.to_json()
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):  # before the first block is rendered
+            next(catalog.iter_json())
 
 
 class TestGcPaused:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sdloops as sl
 from reference import _reference
-from sdloops._jsonutil import indented_json_pieces, ranking_json_pieces
+from sdloops._jsonutil import _check, indented_json_pieces, iter_ranking_json, ranking_json_pieces
 from sdloops.discovery import LoopCatalog, WeightedDigraph, enumerate_loops
 from sdloops.scoring import LinkScoreSeries
 
@@ -67,6 +67,25 @@ def test_matches_json_dumps(obj):
     expected = _reference(obj)
     assert expected[0] == "text" or expected[1] is ValueError  # the strategy builds only JSON types
     assert _writer(obj) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees)
+@example(["a", "b", math.nan])  # a list that starts as str
+@example([1e308, 1e308, "a", -math.inf])  # finite numbers whose sum is not
+@example([10**400, 0.5, math.inf])  # an int too large for a float
+@example({"a": [1.0, 2.0], "b": (math.nan,), "c": [math.inf]})
+@example([True, None, [], {}, [[math.inf]]])
+def test_check_raises_what_json_dumps_raises(obj):
+    """The check that runs before a document is written finds the value
+    that json.dumps reports first, and nothing where it reports nothing."""
+    expected = _reference(obj)
+    try:
+        _check(obj)
+        got = ("text", expected[1])
+    except ValueError as err:
+        got = ("raises", ValueError, str(err))
+    assert got == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -210,4 +229,23 @@ def test_ranking_template_writes_what_json_dumps_writes(changes):
 def test_ranking_template_rejects_non_finite_numbers(changes):
     ranking, masks = _one_loop_ranking(**changes)
     with pytest.raises(ValueError):
+        ranking_json_pieces(ranking, masks)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_of_the_last_loop_raises_before_the_first_piece(value):
+    """The check runs before the first piece: a caller that has a piece can
+    open its output, because nothing later in the document raises."""
+    profiles = [
+        sl.LoopProfile(sl.LoopRecord(("a", f"n{i}"), 1.0, i), [0.0, 2.0, 0.0], [0.0, 0.25, 0.0], 0.1, "reinforcing", None, b"\x00\x01\x00")
+        for i in range(3)
+    ]
+    profiles[-1].relative_series[1] = value
+    ranking = sl.ranking_to_json_dict(profiles, LoopCatalog(), {"top": 3})
+    masks = [p.active for p in profiles]
+    with pytest.raises(ValueError) as expected:
+        json.dumps(ranking, indent=2, allow_nan=False)
+    with pytest.raises(ValueError, match=f"^{expected.value}$"):
+        next(iter_ranking_json(ranking, masks))
+    with pytest.raises(ValueError, match=f"^{expected.value}$"):
         ranking_json_pieces(ranking, masks)

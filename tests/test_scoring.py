@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 import reference
 import sdloops as sl
 from sdloops import scoring
+from sdloops.dsl import Bin, Call, Num, Ref
+from sdloops.engine import compile_equation
 from sdloops.scoring import LinkScoreSeries, link_score_step
 from strategies import CANCELLING_INFLOWS, DIVIDES_AT_MIXED_POINT, DIVIDES_AT_ONE_MIXED_POINT, STEEP_GATE
 
@@ -322,6 +324,29 @@ def test_one_mixed_point_division_by_zero_scores_zero_at_that_step_alone():
         assert repr(scores[k]) == repr(reference.reference_link_score_step(model, run, k)[("a", "f")])
         assert repr(scores[k]) == repr(link_score_step(model, run, k)[("a", "f")])
     assert all(s != 0.0 for s in series[("b", "f")][1:])
+
+
+def test_signed_tiny_huge_and_infinite_constants_score_as_the_reference_does():
+    """A finite unsigned number reaches a column-form equation as a float
+    literal, any other through its constants tuple; both keep their bits.
+    The parser makes only unsigned numbers: this model is built in code."""
+    inf = math.inf
+    variables = (
+        sl.Variable("s", "stock", Num(1.0), ("f",)),
+        sl.Variable("a", "aux", Call("MIN", (Bin("*", Ref("s"), Num(1e308)), Num(inf)))),
+        sl.Variable("b", "aux", Bin("+", Bin("*", Ref("a"), Num(1e-308)), Bin("*", Ref("s"), Num(5e-324)))),
+        sl.Variable("f", "flow", Bin("+", Bin("*", Num(0.1), Ref("b")), Bin("*", Num(-0.0), Ref("s")))),
+    )
+    model = sl.Model(variables, sl.RunSpec(0.0, 3.0, 1.0))
+    assert sl.validate(model) == []
+    constants = {v.name: compile_equation(v, column=True).__globals__["c"] for v in variables[1:]}
+    assert repr(constants) == repr({"a": (inf,), "b": (), "f": (-0.0,)})
+    run = sl.simulate(model)
+    series = sl.score_all(model, run).series
+    assert any(scores[k] != 0.0 for scores in series.values() for k in range(1, run.n + 1))
+    for k in range(1, run.n + 1):
+        want = reference.reference_link_score_step(model, run, k)
+        assert {e: repr(scores[k]) for e, scores in series.items()} == {e: repr(s) for e, s in want.items()}
 
 
 _observations = st.one_of(
