@@ -11,24 +11,23 @@ encodes strings with the C function `encode_basestring_ascii`, and turns
 a list of only str or only float items into text with one `str.join`
 over a `map`.
 
-`iter_catalog_json(head, loops, loop_dict)` is the same text for a loop
-catalog, the program's largest document: each loop, a tuple
-`(cycle, discovery_score, found_at)`, is made by one f-string, its
-indents written out and its cycle encoded with one `str.join`, and each
-block of `_LOOP_BLOCK` loops is joined into one piece, so a writer makes
-one call per block, not per loop.  A loop the template does not fit
-goes through the generic writer as `loop_dict(*loop)`.
-`iter_ranking_json` does the same for a ranking, one piece per loop:
-a loop's series are "0.0" but at the steps its active-step mask marks,
-the only ones that go through `float.__repr__`.
+`iter_catalog_json(head, loops)` is the same text for a loop catalog,
+the program's largest document, and the one writer of a catalog loop's
+fields: each loop, a tuple `(cycle, discovery_score, found_at)`,
+is made by one f-string, its indents written out and its cycle encoded
+with one `str.join`, and each block of `_LOOP_BLOCK` loops is joined into
+one piece, so a writer makes one call per block, not per loop.  A loop
+the template does not fit goes through the generic writer as its
+`_loop_dict`.  `iter_ranking_json` does the same for a ranking, one
+piece per loop: a loop's series are "0.0" but at the steps its
+active-step mask marks, the only ones that go through `float.__repr__`.
 
 Both are checked, then written as they are rendered: before its first
 piece each generator checks its document for NaN and infinities, in
 document order (a list whose `sum` is finite needs no closer look), and
 raises the writer's ValueError for the first, so a caller that has its
 first piece can open its output and write each piece as it comes,
-without holding the document.  `catalog_json_pieces` and
-`ranking_json_pieces` are their pieces as a list.
+without holding the document.
 """
 
 from __future__ import annotations
@@ -40,11 +39,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 
 __all__ = [
-    "catalog_json_pieces",
     "indented_json_pieces",
     "iter_catalog_json",
     "iter_ranking_json",
-    "ranking_json_pieces",
 ]
 
 _INDENT = "  "
@@ -67,13 +64,13 @@ _FOUND_AT = {int: int.__repr__, str: _encode_str}  # exact type -> writer; any o
 _LOOP_BLOCK = 256  # loops per piece of a catalog
 
 
-def catalog_json_pieces(head: dict, loops, loop_dict) -> list[str]:
-    """The pieces of iter_catalog_json as a list."""
-    return list(iter_catalog_json(head, loops, loop_dict))
+def _loop_dict(cycle, discovery_score, found_at) -> dict:
+    """One loop of a catalog's JSON document."""
+    return {"cycle": list(cycle), "discovery_score": discovery_score, "found_at": found_at}
 
 
-def iter_catalog_json(head: dict, loops, loop_dict) -> Iterator[str]:
-    """The text of ``indented_json_pieces({**head, "loops": [loop_dict(*loop)
+def iter_catalog_json(head: dict, loops) -> Iterator[str]:
+    """The text of ``indented_json_pieces({**head, "loops": [_loop_dict(*loop)
     for loop in loops]})`` in pieces, one per block of _LOOP_BLOCK loops
     (the last block may be shorter); each loop is a tuple (cycle,
     discovery_score, found_at), and `loops` a sized collection, read twice.
@@ -85,7 +82,7 @@ def iter_catalog_json(head: dict, loops, loop_dict) -> Iterator[str]:
     int or a str) when every score is finite.  Then a loop whose cycle is
     a non-empty sequence of str, whose discovery_score is a float and whose
     found_at is an int or a str is written from one template; any other
-    loop is written as `loop_dict(*loop)` by the generic writer."""
+    loop is written as its _loop_dict by the generic writer."""
     if not loops:
         yield from indented_json_pieces({**head, "loops": []})
         return
@@ -96,11 +93,11 @@ def iter_catalog_json(head: dict, loops, loop_dict) -> Iterator[str]:
         finite = False
     if not finite:
         for loop in loops:
-            _check(loop_dict(*loop))
-    yield from _around_loops({**head, "loops": loops}, _catalog_blocks(loops, loop_dict))
+            _check(_loop_dict(*loop))
+    yield from _around_loops({**head, "loops": loops}, _catalog_blocks(loops))
 
 
-def _catalog_blocks(loops, loop_dict) -> Iterator[str]:
+def _catalog_blocks(loops) -> Iterator[str]:
     """The checked loops as text, one string per block of _LOOP_BLOCK loops."""
     write_float = float.__repr__
     rest = iter(loops)
@@ -118,7 +115,7 @@ def _catalog_blocks(loops, loop_dict) -> Iterator[str]:
                     f'"discovery_score": {write_float(score)},\n      "found_at": {found(found_at)}{_LOOP_NEWLINE}}}'
                 )
             else:
-                block.append("," + _LOOP_NEWLINE + _encode(loop_dict(cycle, score, found_at), _LOOP_NEWLINE))
+                block.append("," + _LOOP_NEWLINE + _encode(_loop_dict(cycle, score, found_at), _LOOP_NEWLINE))
         if not block:
             return
         yield "".join(block)
@@ -126,11 +123,6 @@ def _catalog_blocks(loops, loop_dict) -> Iterator[str]:
 
 _ENTRY_NEWLINE = "\n      "  # the line break and indent of a loop's fields
 _SERIES = ("score_series", "relative_series")  # the lists that a loop's mask describes
-
-
-def ranking_json_pieces(ranking: dict, masks) -> list[str]:
-    """The pieces of iter_ranking_json as a list."""
-    return list(iter_ranking_json(ranking, masks))
 
 
 def iter_ranking_json(ranking: dict, masks) -> Iterator[str]:

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error (bad flags, unreadable input
 paths, unwritable or repeated output paths, standard output), 2 input
 diagnostics (parse/validate failures, malformed or non-UTF-8 input
 files), 3 runtime failure (aborted simulation, exhausted loop cap in
-forced exhaustive mode, a non-finite number in JSON output).
+forced exhaustive mode, a non-finite number in JSON output, running out
+of memory).
 All commands are deterministic for identical inputs and flags.
 
 A JSON document is checked for NaN and infinities before its output is
@@ -377,6 +378,10 @@ def main(argv: list[str] | None = None) -> int:
         except (SimulationError, _RuntimeFailure) as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_RUNTIME
+        except MemoryError:
+            pass  # reported below, once the traceback and the frames it holds are freed
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -179,26 +179,19 @@ class LoopCatalog:
         raises ValueError."""
         return "".join(self.iter_json())
 
-    def to_json_pieces(self) -> list[str]:
-        """The pieces of iter_json as a list."""
-        return list(self.iter_json())
-
     def iter_json(self) -> Iterator[str]:
         """to_json's text in pieces, one per block of loops (see
         iter_catalog_json), each loop written straight from its stored
         tuple, so no record is built.  The catalog is checked before the
         first piece, and each block is rendered when it is asked for."""
-        return iter_catalog_json(self._head(), self._records.values(), _loop_json)
-
-    def _head(self) -> dict:
-        return {"provenance": self.provenance, "overflow": self.overflow}
+        return iter_catalog_json({"provenance": self.provenance, "overflow": self.overflow}, self._records.values())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LoopCatalog":
         """Inverse of the JSON writer: provenance is a string, overflow a bool, nodes
         are strings, scores finite JSON numbers, found_at a step (an int >= 0)
         or a string, and no loop repeats in any rotation, or MalformedCycleError
-        says what is wrong."""
+        says what is wrong; equal node names and found_at strings become one str."""
         if not isinstance(data, dict):
             raise MalformedCycleError("the top level is not a JSON object")
         loops = data.get("loops", [])
@@ -210,6 +203,7 @@ class LoopCatalog:
         if type(overflow) is not bool:
             raise MalformedCycleError(f"overflow {overflow!r} is not true or false")
         catalog = cls(provenance=provenance, overflow=overflow)
+        share = {}.setdefault
         for item in loops:
             if not isinstance(item, dict):
                 raise MalformedCycleError("malformed loop entry (an entry of loops is not an object)")
@@ -220,88 +214,55 @@ class LoopCatalog:
             if not isinstance(cycle, list):
                 raise MalformedCycleError(f"cycle {cycle!r} is not a list")
             kind = type(found_at)
-            if kind is not str and not (kind is int and found_at >= 0):
+            if kind is str:
+                found_at = share(found_at, found_at)
+            elif not (kind is int and found_at >= 0):
                 raise MalformedCycleError(f"malformed loop entry (found_at {found_at!r} is not a step or a string)")
+            cycle = [share(v, v) if type(v) is str else v for v in cycle]  # only a str: True would become an equal 1
             if not catalog.add(cycle, _finite_score(score), found_at):
                 raise MalformedCycleError(f"loop {' -> '.join(canonical_form(cycle))} is listed twice")
         return catalog
 
     @classmethod
     def from_json(cls, text: str) -> "LoopCatalog":
-        """from_json_dict of the parsed text, with equal node names and
-        equal found_at strings as one str object.  Each loop entry becomes
-        its stored tuple while the text is parsed, so no loop is held as a
-        dict and a tuple at once.  A document that this reading does not take
-        whole (not a catalog, or one with a loop that is malformed or listed
-        twice) is parsed again and read by from_json_dict, which says what
-        is wrong."""
+        """from_json_dict of the parsed text, in one parse: each loop entry
+        becomes its stored tuple (see _record_hook) as the text is parsed, so
+        no loop is held as a dict and a tuple at once.  Only a document that
+        this parse does not take whole (not a catalog, or one with a loop that
+        is malformed or listed twice) is parsed again, for from_json_dict to
+        say what is wrong."""
         with _gc_paused():
-            catalog = cls._from_records(text)
-            if catalog is None:
-                catalog = cls.from_json_dict(json.loads(text, object_hook=_string_sharing_hook()))
-            return catalog
-
-    @classmethod
-    def _from_records(cls, text: str) -> "LoopCatalog | None":
-        """The catalog of text parsed with _record_hook, or None unless the
-        document is an object with from_json_dict's head fields whose loops
-        all became tuples, none of them twice.  A tuple marks an entry the
-        hook took: JSON decoding itself never yields one."""
-        try:
             data = json.loads(text, object_hook=_record_hook())
-        except (ValueError, RecursionError):  # not JSON: from_json_dict's path says so
-            return None
-        if type(data) is not dict:
-            return None
-        loops, provenance, overflow = data.get("loops", []), data.get("provenance", "unknown"), data.get("overflow", False)
-        if type(loops) is not list or type(provenance) is not str or type(overflow) is not bool:
-            return None
-        records = {rec[0]: rec for rec in loops if type(rec) is tuple}
-        if len(records) != len(loops):
-            return None
-        return cls(provenance, overflow, records)
-
-
-def _loop_json(cycle: Cycle, discovery_score: float, found_at: int | str) -> dict:
-    """One loop of the catalog's JSON document."""
-    return {"cycle": list(cycle), "discovery_score": discovery_score, "found_at": found_at}
-
-
-def _string_sharing_hook():
-    """A json.loads object hook for one document: a str in a "cycle" list
-    or as "found_at" is replaced by the first equal str of the document.
-    Every other value passes through as it is, because a table keyed by
-    equality would turn a JSON true into the 1 before it."""
-    shared: dict[str, str] = {}
-    share = shared.setdefault
-
-    def hook(obj: dict) -> dict:
-        cycle = obj.get("cycle")
-        if type(cycle) is list:
-            obj["cycle"] = [share(v, v) if type(v) is str else v for v in cycle]
-        found_at = obj.get("found_at")
-        if type(found_at) is str:
-            obj["found_at"] = share(found_at, found_at)
-        return obj
-
-    return hook
+            if type(data) is dict:
+                loops, provenance, overflow = data.get("loops", []), data.get("provenance", "unknown"), data.get("overflow", False)
+                if type(loops) is list and type(provenance) is str and type(overflow) is bool:
+                    records = {rec[0]: rec for rec in loops if type(rec) is tuple}  # JSON itself yields no tuple
+                    if len(records) == len(loops):
+                        return cls(provenance, overflow, records)
+            data = loops = records = None  # freed before the text is parsed again
+            return cls.from_json_dict(json.loads(text))
 
 
 def _record_hook():
     """A json.loads object hook for one document: an object that from_json_dict
-    reads as a loop as it stands (a cycle of distinct strings, a float score
-    that is finite, and a found_at that is a step or a string) becomes the
-    tuple LoopCatalog stores for it, its cycle rotated to the canonical
-    form (a cycle that starts at its smallest node, as every written one
-    does, is not sliced), with node names and found_at strings shared as by
-    _string_sharing_hook.  Keys besides those three are passed over, as
-    from_json_dict passes them over; any other object is returned as it is."""
+    reads as a loop as it stands (a cycle of distinct strings, an int or float
+    score that is finite as a float, and a found_at that is a step or a
+    string) becomes the tuple LoopCatalog stores for it, as from_json_dict
+    stores it: its score a float, its cycle rotated to the canonical form (a
+    cycle that starts at its smallest node, as every written one does, is
+    not sliced), equal strings shared.  Keys besides those three are passed
+    over, as from_json_dict passes them over; any other object is returned as it is."""
     shared: dict[str, str] = {}
     share = shared.setdefault
     isfinite = math.isfinite
 
     def hook(obj: dict):
         cycle, score, found_at = obj.get("cycle"), obj.get("discovery_score"), obj.get("found_at")
+        if type(score) is int:
+            try:
+                score = float(score)  # as _finite_score reads it
+            except OverflowError:
+                return obj
         if type(cycle) is not list or type(score) is not float or not isfinite(score):
             return obj
         kind = type(found_at)

@@ -262,13 +262,42 @@ class _FailingStdout:
     writelines = flush = write
 
 
-def _cli_subprocess(*args, **kwargs):
-    """Run the CLI in a new interpreter that imports this checkout's package,
-    with standard output buffered as it is by default."""
+def _checkout_env() -> dict:
+    """The environment of a new interpreter that imports this checkout's
+    package, with standard output buffered as it is by default."""
     src = str(Path(sl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)  # unbuffered, a failed write leaves nothing to flush at exit
-    return subprocess.Popen([sys.executable, "-m", "sdloops.cli", *args], env=env, stderr=subprocess.PIPE, **kwargs)
+    return env
+
+
+def _cli_subprocess(*args, **kwargs):
+    """Run the CLI in a new interpreter that imports this checkout's package."""
+    return subprocess.Popen([sys.executable, "-m", "sdloops.cli", *args], env=_checkout_env(), stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the address-space limit is enforced on Linux")
+def test_running_out_of_memory_exits_3(tmp_path):
+    """A run too large for memory is a runtime failure: exit 3 and one
+    stderr line, no traceback.  The child lowers its own address-space
+    limit to 200 MiB, where 2 stocks over 1e12 steps run out in about a
+    second, as they list the run's times."""
+    pytest.importorskip("resource")
+    model = tmp_path / "m.sdm"
+    model.write_text(
+        "SPEC START = 0 STOP = 10 DT = 1\nSTOCK s = 1 { inflow: f }\nSTOCK r = 2 { inflow: g }\n"
+        "FLOW f = 0.1 * r\nFLOW g = 0.1 * s\n",
+        encoding="utf-8",
+    )
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (200 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from sdloops.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = [sys.executable, "-c", child, "simulate", str(model), "--stop", "1e12"]
+    proc = subprocess.run(argv, env=_checkout_env(), capture_output=True, encoding="utf-8", timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "error: out of memory\n")
 
 
 class TestUnwritableStdout:

@@ -573,7 +573,7 @@ class TestCatalogJson:
     @given(_catalogs())
     def test_pieces_are_the_text_of_json_dumps(self, catalog):
         expected = json.dumps(reference.catalog_to_json_dict(catalog), indent=2, allow_nan=False)
-        assert "".join(catalog.to_json_pieces()) == catalog.to_json() == expected
+        assert "".join(catalog.iter_json()) == catalog.to_json() == expected
 
     @settings(max_examples=120, deadline=None)
     @given(_catalogs_beyond_the_template())
@@ -586,7 +586,7 @@ class TestCatalogJson:
     @example(LoopCatalog())
     def test_loops_the_template_does_not_fit_are_the_text_of_json_dumps(self, catalog):
         expected = json.dumps(reference.catalog_to_json_dict(catalog), indent=2, allow_nan=False)
-        assert "".join(catalog.to_json_pieces()) == expected
+        assert "".join(catalog.iter_json()) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(_catalogs())
@@ -615,7 +615,7 @@ class TestCatalogJson:
         for i in range(size):
             score = 3 if i == 1 else (-1) ** i * 0.1 * (i + 1)
             catalog.add((f"n{i:04d}", "\u00e9", "a"), score, i if i % 3 else "static")
-        pieces = catalog.to_json_pieces()
+        pieces = list(catalog.iter_json())
         assert "".join(pieces) == json.dumps(reference.catalog_to_json_dict(catalog), indent=2)
         assert sum('"cycle"' in piece for piece in pieces) == -(-size // _LOOP_BLOCK)
 
@@ -683,6 +683,12 @@ class TestGcPaused:
 # The catalog reader against its frozen reference
 
 _LOOP = {"cycle": ["b", "a"], "discovery_score": 0.5, "found_at": 1}  # an entry from_json_dict reads
+# CPython keeps one object per one-character str, so only longer names can
+# show whether equal names were read as one object or as copies
+_SHARED_NAMES = [
+    {"cycle": ["beta", "alpha"], "discovery_score": 0.5, "found_at": "static"},
+    {"cycle": ["alpha", "gamma", "beta"], "discovery_score": -2.0, "found_at": "static"},
+]
 _odd_values = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 3), st.sampled_from([2**53 + 1, 10**400, -0.0, 1.5]),
     st.floats(), st.sampled_from(["a", "static", ""]), st.just(_LOOP), st.lists(st.sampled_from(["a", 1, None]), max_size=2),
@@ -787,20 +793,27 @@ def _read_by(read, text: str):
 @example(_loops_text('[["a", "b"], 1.0, 0]'))  # a loop as the array of its fields
 @example(_loops_text('{"cycle": ["a"], "discovery_score": 1.0, "found_at": 0}', '[["b", "c"], 1.0, "static"]'))
 @example('{"provenance": "exhaustive", "overflow": false, "loops": [["a", "b"], 1.0, 0]}')  # as the whole loops value
+@example(json.dumps({**_SHARED_NAMES[0], "loops": _SHARED_NAMES}))  # a loop-shaped top level
+@example(_loops_text(*(json.dumps({**loop, "discovery_score": score}) for loop, score in zip(_SHARED_NAMES, (2, 2**53 + 1)))))
 def test_from_json_reads_as_the_reference_reader(text):
     assert _read_by(LoopCatalog.from_json, text) == _read_by(reference.reference_read_catalog, text)
 
 
 def test_a_written_catalog_is_read_in_one_parse(greedy_miss_graph, monkeypatch):
-    """A catalog that the program writes takes no second parse: its loops
-    become records as the text is parsed, and from_json_dict is not called."""
+    """A catalog that the program writes, or one written by hand with int
+    scores, takes no second parse: its loops become records as the text is
+    parsed, and from_json_dict is not called."""
     catalog = enumerate_loops(greedy_miss_graph)
     catalog.add(("x", "y"), -0.25, 3)
     text = catalog.to_json()
+    by_hand = _loops_text(*(json.dumps({**loop, "discovery_score": score}) for loop, score in zip(_SHARED_NAMES, (2, -(2**53) - 1))))
     monkeypatch.setattr(LoopCatalog, "from_json_dict", classmethod(lambda cls, data: pytest.fail("parsed twice")))
     back = LoopCatalog.from_json(text)
     assert [(r.cycle, repr(r.discovery_score), r.found_at) for r in back.loops()] == [
         (r.cycle, repr(r.discovery_score), r.found_at) for r in catalog.loops()
+    ]
+    assert [(r.cycle, repr(r.discovery_score)) for r in LoopCatalog.from_json(by_hand).loops()] == [
+        (("alpha", "beta"), "2.0"), (("alpha", "gamma", "beta"), repr(float(-(2**53) - 1)))
     ]
 
 

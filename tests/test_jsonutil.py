@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sdloops as sl
 from reference import _reference
-from sdloops._jsonutil import _check, indented_json_pieces, iter_ranking_json, ranking_json_pieces
+from sdloops._jsonutil import _check, indented_json_pieces, iter_ranking_json
 from sdloops.discovery import LoopCatalog, WeightedDigraph, enumerate_loops
 from sdloops.scoring import LinkScoreSeries
 
@@ -181,12 +181,12 @@ def test_ranking_pieces_match_json_dumps(case):
     masks = [p.active for p in profiles]
     expected = _reference(ranking)
     try:
-        got = ("text", "".join(ranking_json_pieces(ranking, masks)))
+        got = ("text", "".join(iter_ranking_json(ranking, masks)))
     except ValueError as err:
         got = ("raises", ValueError, str(err))
     assert got == expected
     if expected[0] == "text":
-        pieces = ranking_json_pieces(ranking, masks)
+        pieces = list(iter_ranking_json(ranking, masks))
         for entry in ranking["loops"]:  # one piece per loop
             assert any(piece.endswith(indented_json(entry).replace("\n", "\n    ")) for piece in pieces)
 
@@ -213,7 +213,7 @@ def _one_loop_ranking(**changes):
 )
 def test_ranking_template_writes_what_json_dumps_writes(changes):
     ranking, masks = _one_loop_ranking(**changes)
-    assert "".join(ranking_json_pieces(ranking, masks)) == json.dumps(ranking, indent=2, allow_nan=False)
+    assert "".join(iter_ranking_json(ranking, masks)) == json.dumps(ranking, indent=2, allow_nan=False)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +229,7 @@ def test_ranking_template_writes_what_json_dumps_writes(changes):
 def test_ranking_template_rejects_non_finite_numbers(changes):
     ranking, masks = _one_loop_ranking(**changes)
     with pytest.raises(ValueError):
-        ranking_json_pieces(ranking, masks)
+        list(iter_ranking_json(ranking, masks))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -248,4 +248,4 @@ def test_non_finite_value_of_the_last_loop_raises_before_the_first_piece(value):
     with pytest.raises(ValueError, match=f"^{expected.value}$"):
         next(iter_ranking_json(ranking, masks))
     with pytest.raises(ValueError, match=f"^{expected.value}$"):
-        ranking_json_pieces(ranking, masks)
+        list(iter_ranking_json(ranking, masks))
